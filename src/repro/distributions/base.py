@@ -9,18 +9,21 @@ Design notes
 ------------
 - Probabilities are stored as a read-only ``float64`` array that sums to 1
   within a strict tolerance; construction validates and normalises.
-- Sampling uses ``Generator.choice`` with the probability vector, which is
-  ``O(s log n)`` per batch and fully vectorised -- fast enough for the
-  multi-million-sample sweeps in the benchmarks.
-- ``choice`` is inverse-CDF sampling under the hood, and the class exposes
-  the two halves separately: :meth:`DiscreteDistribution.sample_uniform`
-  draws the ``U[0, 1)`` driver values (consuming the generator exactly as
-  :meth:`DiscreteDistribution.sample` would) and
-  :meth:`DiscreteDistribution.index_quantiles` maps driver values to
-  outcomes through a cached guide table, bit-identical to ``choice``'s own
-  ``searchsorted``.  Batched consumers that only read a subset of the
-  drawn slots (the LOCAL trial plane) pay the quantile lookup just for
-  the slots they use.
+- Sampling is inverse-CDF sampling, as in ``Generator.choice`` with a
+  probability vector: :meth:`DiscreteDistribution.sample` draws *size*
+  ``U[0, 1)`` doubles and maps each through a cached lookup table (the
+  CDF's strict steps plus a power-of-two guide table), so a call costs
+  ``O(s)`` with no per-call pass over the ``n`` probabilities.  The
+  values and the generator state afterwards equal those of
+  ``gen.choice(n, size, p=probs)``; ``tests/distributions/test_base.py``
+  pins the two together.
+- The class also exposes the two halves separately:
+  :meth:`DiscreteDistribution.sample_uniform` draws the driver values
+  (consuming the generator exactly as :meth:`DiscreteDistribution.sample`
+  would) and :meth:`DiscreteDistribution.index_quantiles` maps driver
+  values to outcomes through the same table.  Batched consumers that only
+  read a subset of the drawn slots (the LOCAL trial plane) pay the lookup
+  just for the slots they use.
 - The class is deliberately *final-style* and value-semantic: all deriving
   operations (:meth:`mix`, :meth:`conditioned_on`, :meth:`permuted`) return
   new instances.
@@ -28,7 +31,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,6 +40,42 @@ from repro.rng import SeedLike, ensure_rng
 
 #: Absolute tolerance when checking that a probability vector sums to one.
 _SUM_ATOL = 1e-9
+
+#: Driver draws mapped per lookup pass; bounds the lookup's temporaries.
+_LOOKUP_BLOCK = 1 << 16
+
+
+class _QuantileTable(NamedTuple):
+    """Cached inverse-CDF lookup over the CDF's strict steps.
+
+    ``edges`` holds the normalised CDF at the positions ``outcomes`` where
+    it strictly increases, padded with ``2.0`` sentinels; ``guide[b]``
+    counts the edges ``<= b / buckets``; ``probe`` is the largest power of
+    two not above the widest guide bracket.  ``outcomes`` is ``None`` when
+    every entry is a step.  ``widest`` is the largest CDF step.
+    """
+
+    edges: np.ndarray
+    buckets: int
+    guide: np.ndarray
+    probe: int
+    outcomes: Optional[np.ndarray]
+    widest: float
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf, u, side="right")`` for one block of draws.
+
+        A draw's answer lies at most ``2 * probe - 1`` edges past the start
+        of its guide bracket, so probes of ``probe, probe / 2, ..., 1``
+        edges reach it; the sentinels keep every probe in bounds.
+        """
+        pos = self.guide[(u * self.buckets).astype(np.int64)]
+        step = self.probe
+        while step > 1:
+            pos += (self.edges[pos + (step - 1)] <= u) * step
+            step >>= 1
+        pos += self.edges[pos] <= u
+        return pos if self.outcomes is None else self.outcomes[pos]
 
 
 class DiscreteDistribution:
@@ -87,7 +126,7 @@ class DiscreteDistribution:
         self._probs = arr
         self._name = name
         self._cached_collision: Optional[float] = None
-        self._cached_quantiles: Optional[tuple] = None
+        self._cached_quantiles: Optional[_QuantileTable] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -159,6 +198,13 @@ class DiscreteDistribution:
     def sample(self, size: int, rng: SeedLike = None) -> np.ndarray:
         """Draw *size* i.i.d. samples.
 
+        Inverse-CDF sampling through the cached lookup table: *size*
+        ``U[0, 1)`` doubles from the generator, each mapped to the first
+        outcome whose normalised CDF exceeds it.  Values, ``int64`` dtype
+        and the generator state afterwards equal those of
+        ``gen.choice(n, size, p=probs)``, which
+        ``tests/distributions/test_base.py`` pins.
+
         Parameters
         ----------
         size:
@@ -176,15 +222,14 @@ class DiscreteDistribution:
         gen = ensure_rng(rng)
         if size == 0:
             return np.empty(0, dtype=np.int64)
-        return gen.choice(self.n, size=size, p=self._probs).astype(np.int64)
+        return self._lookup(gen.random(size))
 
     def sample_uniform(self, size: int, rng: SeedLike = None) -> np.ndarray:
         """The ``U[0, 1)`` driver draws behind :meth:`sample` — same stream.
 
-        ``Generator.choice`` with a probability vector is inverse-CDF
-        sampling: it draws *size* uniform doubles, then maps each through
-        a ``searchsorted`` on the cumulative weights.  This method performs
-        only the drawing half, consuming the generator identically, so
+        :meth:`sample` draws *size* uniform doubles, then maps each
+        through the cached inverse-CDF lookup.  This method performs only
+        the drawing half, consuming the generator identically, so
 
         ``index_quantiles(sample_uniform(size, seed)) == sample(size, seed)``
 
@@ -200,66 +245,79 @@ class DiscreteDistribution:
             return np.empty(0, dtype=np.float64)
         return gen.random(size)
 
-    def _quantile_tables(self) -> tuple:
-        """Cached ``(cdf, buckets, guide)`` for exact inverse-CDF lookup.
+    def _quantile_table(self) -> _QuantileTable:
+        """The cached :class:`_QuantileTable` for exact inverse-CDF lookup.
 
         The CDF is normalised exactly as ``Generator.choice`` normalises
-        it (``cumsum`` then divide by the last entry), so lookups agree
-        with :meth:`sample` bit for bit.  The guide table brackets, for
-        each of ``buckets`` equal slices of ``[0, 1)``, the CDF indices a
-        driver draw in that slice can map to; ``buckets`` is a power of
-        two so the bucket of a draw is computed exactly in binary
-        floating point.
+        it (``cumsum`` then divide by the last entry).  Only its strict
+        steps are kept: ``searchsorted(cdf, u, side="right")`` always
+        lands on one, so zero-mass runs (and masses below the CDF's ulp)
+        cost no bisection passes.  The guide table brackets, for each of
+        ``buckets`` equal slices of ``[0, 1)``, the steps a draw in that
+        slice can map to; ``buckets`` is a power of two so the bucket of
+        a draw is computed exactly in binary floating point.
         """
         if self._cached_quantiles is None:
             cdf = self._probs.cumsum()
             cdf /= cdf[-1]
-            buckets = 1 << max(1, int(np.ceil(np.log2(4.0 * self.n))))
-            guide = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
-            cdf.setflags(write=False)
-            guide.setflags(write=False)
-            self._cached_quantiles = (cdf, buckets, guide)
+            steps = np.diff(cdf, prepend=0.0)
+            outcomes = np.flatnonzero(steps > 0)
+            edges = cdf[outcomes]
+            buckets = 1 << max(1, int(np.ceil(np.log2(4.0 * edges.size))))
+            guide = edges.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+            probe = 1 << (int(np.diff(guide).max()).bit_length() - 1)
+            edges = np.concatenate([edges, np.full(2 * probe - 1, 2.0)])
+            for arr in (edges, guide, outcomes):
+                arr.setflags(write=False)
+            self._cached_quantiles = _QuantileTable(
+                edges, buckets, guide, probe,
+                None if outcomes.size == cdf.size else outcomes,
+                float(steps.max()),
+            )
         return self._cached_quantiles
+
+    def _lookup(self, u: np.ndarray) -> np.ndarray:
+        """Outcomes of driver draws *u* (any shape, values in ``[0, 1)``).
+
+        Inputs up to one block are mapped in place, without a copy; larger
+        ones block by block into a preallocated output, which keeps the
+        temporaries at a few block-sized arrays.
+        """
+        table = self._quantile_table()
+        if u.size <= _LOOKUP_BLOCK:
+            return table.lookup(u)
+        flat = u.reshape(-1)
+        out = np.empty(flat.size, dtype=np.int64)
+        for start in range(0, flat.size, _LOOKUP_BLOCK):
+            stop = start + _LOOKUP_BLOCK
+            out[start:stop] = table.lookup(flat[start:stop])
+        return out.reshape(u.shape)
 
     def index_quantiles(self, u: np.ndarray) -> np.ndarray:
         """Map driver draws *u* to outcomes, bit-identical to :meth:`sample`.
 
         Computes exactly ``searchsorted(cdf, u, side="right")`` — the
-        mapping inside ``Generator.choice`` — via the bucketed guide
-        table: each draw's bucket narrows the answer to a bracket
-        ``[guide[b], guide[b+1]]``, finished off by a short vectorised
-        bisection (one step for near-uniform distributions, ``log`` of
-        the largest same-value run in the worst case).  No per-call
-        cumulative-sum rebuild, so this is much cheaper than ``choice``
-        itself.
+        mapping inside ``Generator.choice`` — through the same cached
+        lookup :meth:`sample` uses: each draw's guide bucket narrows the
+        answer to a bracket of CDF steps, finished off by a fixed number
+        of branch-free probes (one for near-uniform distributions, the
+        ``log`` of the widest bracket in the worst case).  The output has
+        the shape of *u*.
         """
-        cdf, buckets, guide = self._quantile_tables()
         u = np.asarray(u, dtype=np.float64)
         if u.size and (float(u.min()) < 0.0 or float(u.max()) >= 1.0):
             raise ValueError("driver draws must lie in [0, 1)")
-        bucket = (u * buckets).astype(np.int64)
-        lo = guide[bucket]
-        hi = guide[bucket + 1]
-        while True:
-            width = hi - lo
-            if not width.any():
-                break
-            mid = lo + (width >> 1)
-            go = cdf[mid] <= u
-            lo = np.where(go, mid + 1, lo)
-            hi = np.where(go, hi, mid)
-        return lo.astype(np.int64)
+        return self._lookup(u)
 
     def max_bin_width(self) -> float:
-        """Largest single-outcome step of the normalised CDF.
+        """Largest single-outcome step of the normalised CDF (cached).
 
         Two driver draws can map to the same outcome only if they differ
-        by less than this — the gap test the LOCAL verdict kernel uses to
+        by at most this — the gap test the LOCAL verdict kernel uses to
         discard almost every sorted-adjacent sample pair before doing an
         exact :meth:`index_quantiles` lookup on the survivors.
         """
-        cdf, _, _ = self._quantile_tables()
-        return float(np.diff(cdf, prepend=0.0).max())
+        return self._quantile_table().widest
 
     def sample_matrix(self, rows: int, cols: int, rng: SeedLike = None) -> np.ndarray:
         """Draw a ``rows x cols`` matrix of i.i.d. samples.

@@ -17,8 +17,10 @@ gathering — is fixed across trials, and a trial's verdict reduces to
    ``k`` slots drawn per trial), sort them as raw IEEE bit patterns,
 3. flag repetitions containing a repeat: two draws map to the same
    outcome iff no CDF boundary separates them, so sorted-adjacent pairs
-   further apart than the largest CDF step can be discarded wholesale
-   and only the rare survivors need an exact
+   whose floating-point gap exceeds the largest CDF step can be
+   discarded wholesale (a same-outcome pair's rounded gap can equal
+   that step, so equality survives) and only the rare survivors need
+   an exact
    :meth:`~repro.distributions.base.DiscreteDistribution.index_quantiles`
    lookup,
 4. AND across the ``m`` repetitions per virtual node (a node rejects iff
@@ -393,7 +395,7 @@ class LocalVerdictKernel:
     paid just where it matters.  Per batch the verdict is one ``take``
     gathering the slots the protocol reads, one bit-pattern sort per
     repetition (non-negative IEEE doubles order like their values), a
-    gap filter — sorted-adjacent driver pairs at least ``max_bin_width``
+    gap filter — sorted-adjacent driver pairs more than ``max_bin_width``
     apart straddle a CDF boundary and cannot collide — and exact
     ``index_quantiles`` lookups on the few surviving pairs.  Then an
     ``all`` across each node's ``m`` copies (a node rejects iff every
@@ -429,7 +431,7 @@ class LocalVerdictKernel:
             ordered = np.sort(piles.view(np.uint64), axis=-1).view(np.float64)
             gaps = np.diff(ordered, axis=-1)
             close = np.flatnonzero(
-                (gaps < self.distribution.max_bin_width()).reshape(-1)
+                (gaps <= self.distribution.max_bin_width()).reshape(-1)
             )
             if close.size:
                 pile = close // (s_per - 1)

@@ -44,9 +44,9 @@ def support_driver(size: int) -> DiscreteDistribution:
 
     Both players sample their support *through this distribution* rather
     than via ``Generator.integers``: one invocation consumes exactly
-    ``count`` ``U[0, 1)`` doubles (``Generator.choice`` with a probability
-    vector is inverse-CDF sampling), so the whole protocol stream is
-    reproducible from
+    ``count`` ``U[0, 1)`` doubles (``sample`` is the cached inverse-CDF
+    lookup, pinned to ``Generator.choice`` by a test), so the whole
+    protocol stream is reproducible from
     :meth:`~repro.distributions.base.DiscreteDistribution.sample_uniform`
     draws plus
     :meth:`~repro.distributions.base.DiscreteDistribution.index_quantiles`

@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.distributions import DiscreteDistribution, uniform
+from repro.distributions import (
+    DiscreteDistribution,
+    heavy_element,
+    paninski_pair,
+    restricted_support,
+    uniform,
+    zipf,
+)
+from repro.distributions.base import _LOOKUP_BLOCK
 from repro.exceptions import InvalidDistributionError
 
 
@@ -177,6 +187,78 @@ class TestQuantileSplit:
         idx = d.index_quantiles(u)
         gaps = np.diff(u)
         assert (gaps[np.diff(idx) == 0] < d.max_bin_width()).all()
+
+
+def _assert_sample_is_choice(d: DiscreteDistribution, size: int, seed: int) -> None:
+    """``d.sample`` equals numpy's ``Generator.choice`` on one seed: values,
+    dtype, shape and the bit-generator state left behind."""
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = d.sample(size, rng=ours)
+    want = ref.choice(d.n, size, p=d.probs)
+    assert got.dtype == np.int64
+    assert got.shape == (size,)
+    np.testing.assert_array_equal(got, want)
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+class TestSamplePinnedToChoice:
+    """``sample`` is the cached inverse-CDF lookup; numpy's
+    ``Generator.choice`` is its reference, compared directly."""
+
+    _CASES = {
+        "uniform": uniform(1_000),
+        "paninski": paninski_pair(1_000, 0.6, rng=4),
+        "support": restricted_support(1_000, 0.8),
+        "heavy": heavy_element(1_000, 0.9),
+        "zipf": zipf(5_000, 1.2),
+        "zero_ends": DiscreteDistribution(
+            np.concatenate([np.zeros(7), np.full(20, 0.05), np.zeros(11)])
+        ),
+        # 1e-20 and 5e-324 sit below the CDF's ulp: no step, never drawn.
+        "sub_ulp": DiscreteDistribution([0.5, 1e-20, 0.25, 5e-324, 0.25]),
+        "single": DiscreteDistribution([1.0]),
+    }
+
+    _SIZES = [
+        0, 1, 24,
+        _LOOKUP_BLOCK - 1, _LOOKUP_BLOCK, _LOOKUP_BLOCK + 1,
+        3 * _LOOKUP_BLOCK + 17,
+    ]
+
+    @pytest.mark.parametrize("size", _SIZES)
+    @pytest.mark.parametrize("name", sorted(_CASES))
+    def test_sample_equals_choice(self, name, size):
+        _assert_sample_is_choice(self._CASES[name], size, seed=size + 1)
+
+    @pytest.mark.parametrize("name", sorted(_CASES))
+    def test_lookup_at_cdf_edges_equals_searchsorted(self, name):
+        """Draws landing exactly on, or one ulp either side of, a CDF
+        value: the rare inputs a seeded stream almost never produces."""
+        d = self._CASES[name]
+        cdf = d.probs.cumsum()
+        cdf /= cdf[-1]
+        u = np.concatenate([
+            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        np.testing.assert_array_equal(
+            d.index_quantiles(u), cdf.searchsorted(u, side="right")
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+            min_size=1,
+            max_size=60,
+        ).filter(lambda w: sum(w) > 1e-6),
+        size=st.integers(0, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_random_vectors_with_zeros(self, weights, size, seed):
+        arr = np.asarray(weights, dtype=np.float64)
+        _assert_sample_is_choice(DiscreteDistribution(arr / arr.sum()), size, seed)
 
 
 class TestDerivations:

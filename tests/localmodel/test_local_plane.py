@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.distributions import far_family, uniform
+from repro.distributions import DiscreteDistribution, far_family, uniform
 from repro.exceptions import (
     InfeasibleParametersError,
     ParameterError,
@@ -24,6 +24,7 @@ from repro.experiments.runner import TrialRunner
 from repro.localmodel import LocalLayout, LocalTrialRunner, LocalUniformityTester
 from repro.localmodel.gather import assign_catchments
 from repro.localmodel.local_plane import (
+    LocalVerdictKernel,
     effective_radius,
     mis_generator,
     power_adjacency,
@@ -227,6 +228,23 @@ class TestLocalTrialRunner:
     def test_infeasible_radius_raises(self, tester):
         with pytest.raises(InfeasibleParametersError):
             LocalTrialRunner.build(tester, Topology.ring(512), 2)
+
+
+class TestGapFilterBoundary:
+    def test_collision_at_exactly_max_bin_width_is_kept(self):
+        """Two draws in one outcome whose rounded gap equals the widest
+        CDF step are a collision: the gap filter must keep ``<=``."""
+        a = 3 * 2.0**-55
+        dist = DiscreteDistribution([a, 0.5 - a, 0.25, 0.25])
+        u = np.array([[a, np.nextafter(0.5, 0.0)]])
+        assert u[0, 1] - u[0, 0] == dist.max_bin_width()
+        assert dist.index_quantiles(u).tolist() == [[1, 1]]
+        kernel = LocalVerdictKernel(
+            distribution=dist, members=np.array([[0, 1]]), m=1,
+            total_samples=2, is_uniform=False,
+        )
+        # One virtual node, one repetition, one collision: reject.
+        assert kernel.accepts_uniform(u).tolist() == [False]
 
 
 class TestChooseRadiusFastPath:

@@ -158,6 +158,8 @@ class TestCli:
              "--fresh-protocol", str(missing),
              "--committed-robustness", str(missing),
              "--fresh-robustness", str(missing),
+             "--committed-smp", str(missing),
+             "--fresh-smp", str(missing),
              *extra],
             capture_output=True,
             text=True,

@@ -252,12 +252,12 @@ SECTIONS = [
         "`LubyMISProgram`, cross-checked node-for-node against a real "
         "engine run by `verify_layout`) and then computes whole trial "
         "batches with a driver-draw split: every trial draws only the "
-        "uniform doubles the numpy `Generator.choice` inverse-CDF would "
-        "consume (keeping the stream bit-identical to the scalar "
-        "tester's), gathers the slots the MIS nodes actually read, and "
+        "uniform doubles `DiscreteDistribution.sample` would feed its "
+        "inverse-CDF lookup (keeping the stream bit-identical to the "
+        "scalar tester's), gathers the slots the MIS nodes actually read, and "
         "detects collisions with a bit-pattern sort plus a max-bin-width "
-        "gap filter — only sorted-adjacent pairs closer than the widest "
-        "CDF step can collide, and just those rare survivors get exact "
+        "gap filter — only sorted-adjacent pairs no farther apart than the "
+        "widest CDF step can collide, and just those rare survivors get exact "
         "`index_quantiles` lookups.  Verdicts are bit-identical per seed "
         "to `test_with_plan`; `estimate_error(..., fast_path=True, "
         "engine_check=f)` re-runs a prefix through the scalar route and "
@@ -272,11 +272,12 @@ SECTIONS = [
         "`bit_identical.fast_vs_scalar` and `bit_identical.layout_vs_engine` "
         "asserted true by the benchmark gate (`BENCH_protocol.json`, "
         "`e7_local_plane`; regression-gated by `tools/bench_compare.py "
-        "--smoke` in CI).  The E7/E7b sweeps above ride this path; "
-        "`DiscreteDistribution.sample()` itself is untouched — "
-        "`gen.choice` remains the auditable scalar reference, and the "
-        "split (`sample_uniform` + `index_quantiles`) is pinned "
-        "bit-for-bit to it by `tests/distributions/test_base.py`.",
+        "--smoke` in CI).  The E7/E7b sweeps above ride this path.  "
+        "`DiscreteDistribution.sample()` is the same cached inverse-CDF "
+        "lookup (`index_quantiles`) applied to fresh `sample_uniform` "
+        "draws, and `tests/distributions/test_base.py` pins it to "
+        "numpy's `Generator.choice`, value for value and generator "
+        "state.",
     ),
     (
         "E17 — Extension: the vectorised SMP lower-bound plane",
