@@ -69,6 +69,30 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "counters, run manifest) to PATH")
 
 
+def _add_route(
+    parser: argparse.ArgumentParser,
+    plane: str,
+    scalar: str,
+    check_default: Optional[float] = None,
+) -> None:
+    """``--fast-path`` (through the vectorised *plane*) or ``--engine``
+    (through the *scalar* route it is bit-identical to), plus the
+    ``--engine-check`` audit fraction when ``check_default`` is given;
+    :func:`_validate_common` range-checks it."""
+    if check_default is not None:
+        parser.add_argument(
+            "--engine-check", type=float, default=check_default,
+            help=f"fraction of trials re-run through {scalar} to audit "
+                 f"the {plane} (fast path only)")
+    path = parser.add_mutually_exclusive_group()
+    path.add_argument("--fast-path", dest="fast_path", action="store_true",
+                      default=True,
+                      help=f"estimate via the vectorised {plane} "
+                           f"(default; bit-identical to {scalar})")
+    path.add_argument("--engine", dest="fast_path", action="store_false",
+                      help=f"estimate via {scalar}")
+
+
 def _validate_common(args: argparse.Namespace) -> None:
     """Reject out-of-range problem parameters before any solver runs.
 
@@ -102,6 +126,9 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise ParameterError(
             f"--p must be in (0, 1) (an error probability), got {p}"
         )
+    check = getattr(args, "engine_check", None)
+    if check is not None and not 0.0 <= check <= 1.0:
+        raise ParameterError(f"--engine-check must be in [0, 1], got {check}")
     # Topology minima only bind when the command will actually build the
     # topology: robustness always does, solve-congest only with --trials.
     topology = getattr(args, "topology", None)
@@ -214,10 +241,6 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"--trials must be a positive trial count, got {args.trials}"
         )
-    if not 0.0 <= args.engine_check <= 1.0:
-        raise ParameterError(
-            f"--engine-check must be in [0, 1], got {args.engine_check}"
-        )
     for drop in args.drop_probs:
         if not 0.0 <= drop <= 1.0:
             raise ParameterError(
@@ -277,10 +300,6 @@ def _cmd_local(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"--radius must be >= 1, got {args.radius}"
         )
-    if not 0.0 <= args.engine_check <= 1.0:
-        raise ParameterError(
-            f"--engine-check must be in [0, 1], got {args.engine_check}"
-        )
     tester = LocalUniformityTester(n=args.n, eps=args.eps, p=args.p)
     topo = make_topology(args.topology, args.k)
     radius = args.radius
@@ -288,24 +307,17 @@ def _cmd_local(args: argparse.Namespace) -> int:
         radius = tester.choose_radius(
             topo, rng=args.seed, fast_path=args.fast_path
         )
-    # Show the exact plan the uniform sweep (seed + 1) will replay; on the
-    # fast path this also pre-populates the layout cache it uses.
-    from repro.localmodel.local_plane import (
-        LocalTrialRunner,
-        effective_radius,
-        mis_generator,
-    )
-
+    # The plan choose_radius certified and both sweeps replay: every
+    # step is keyed to --seed, so on the fast path they share one cached
+    # layout and one audited engine MIS run.
     if args.fast_path:
+        from repro.localmodel.local_plane import LocalTrialRunner
+
         plan = LocalTrialRunner.build(
-            tester, topo, radius, base_seed=args.seed + 1
+            tester, topo, radius, base_seed=args.seed
         ).plan
     else:
-        plan = tester.plan(
-            topo,
-            radius,
-            mis_generator(args.seed + 1, effective_radius(topo, radius)),
-        )
+        plan = tester.seeded_plan(topo, radius, args.seed)
     telemetry.annotate(
         solved={
             "radius": plan.radius,
@@ -327,11 +339,11 @@ def _cmd_local(args: argparse.Namespace) -> int:
     u = uniform(args.n)
     far = far_family("paninski", args.n, min(args.eps, 1.0), rng=args.seed)
     err_u = tester.estimate_error(
-        topo, u, True, radius, args.trials, rng=args.seed + 1,
+        topo, u, True, radius, args.trials, rng=args.seed,
         fast_path=args.fast_path, engine_check=args.engine_check,
     )
     err_f = tester.estimate_error(
-        topo, far, False, radius, args.trials, rng=args.seed + 2,
+        topo, far, False, radius, args.trials, rng=args.seed,
         fast_path=args.fast_path, engine_check=args.engine_check,
     )
     path = "local plane" if args.fast_path else "scalar tester"
@@ -357,10 +369,6 @@ def _cmd_smp(args: argparse.Namespace) -> int:
         raise ParameterError(f"--delta must be in (0, 1), got {args.delta}")
     if args.tau <= 1.0:
         raise ParameterError(f"--tau must exceed 1, got {args.tau}")
-    if not 0.0 <= args.engine_check <= 1.0:
-        raise ParameterError(
-            f"--engine-check must be in [0, 1], got {args.engine_check}"
-        )
     torus = EqualityProtocol.build(args.n_bits, delta=args.delta, tau=args.tau)
     mapping = BCGMapping(code=torus.code)
     tester = CollisionGapTester.from_delta(mapping.domain_size, args.delta)
@@ -510,13 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", choices=("star", "ring", "grid"),
                    default="star",
                    help="topology for the --trials measurement")
-    path = p.add_mutually_exclusive_group()
-    path.add_argument("--fast-path", dest="fast_path", action="store_true",
-                      default=True,
-                      help="estimate via the vectorised trial plane "
-                           "(default; bit-identical to the engine)")
-    path.add_argument("--engine", dest="fast_path", action="store_false",
-                      help="estimate via full per-trial engine runs")
+    _add_route(p, "trial plane", "full per-trial engine runs")
     p.set_defaults(func=_cmd_solve_congest)
 
     p = sub.add_parser(
@@ -536,16 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crash-fractions", type=float, nargs="+",
                    default=[0.0],
                    help="crash-stop fractions of the non-root nodes")
-    p.add_argument("--engine-check", type=float, default=1 / 3,
-                   help="fraction of trials per point re-run through the "
-                        "engine to cross-check the replay (fast path only)")
-    path = p.add_mutually_exclusive_group()
-    path.add_argument("--fast-path", dest="fast_path", action="store_true",
-                      default=True,
-                      help="replay the grid through the vectorised fault "
-                           "plane (default; bit-identical to the engine)")
-    path.add_argument("--engine", dest="fast_path", action="store_false",
-                      help="run every trial through the full engine")
+    _add_route(p, "fault plane", "full per-trial engine runs",
+               check_default=1 / 3)
     p.set_defaults(func=_cmd_robustness)
 
     p = sub.add_parser(
@@ -559,18 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gathering radius r (default: doubling search)")
     p.add_argument("--trials", type=int, default=100,
                    help="Monte-Carlo trials per distribution")
-    p.add_argument("--engine-check", type=float, default=0.0,
-                   help="fraction of trials re-run through the scalar "
-                        "tester plus an engine MIS cross-check "
-                        "(fast path only)")
-    path = p.add_mutually_exclusive_group()
-    path.add_argument("--fast-path", dest="fast_path", action="store_true",
-                      default=True,
-                      help="estimate via the vectorised local trial plane "
-                           "(default; bit-identical to the scalar tester)")
-    path.add_argument("--engine", dest="fast_path", action="store_false",
-                      help="estimate via per-trial scalar decisions over "
-                           "an engine-built plan")
+    _add_route(p, "local trial plane",
+               "per-trial scalar decisions over an engine-built plan",
+               check_default=0.0)
     p.set_defaults(func=_cmd_local)
 
     p = sub.add_parser(
@@ -589,17 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=str, default=None, metavar="PATH",
                    help="write a JSONL telemetry trace (spans, "
                         "counters, run manifest) to PATH")
-    p.add_argument("--engine-check", type=float, default=0.0,
-                   help="fraction of trials re-run through the scalar "
-                        "protocol to cross-check the plane "
-                        "(fast path only)")
-    path = p.add_mutually_exclusive_group()
-    path.add_argument("--fast-path", dest="fast_path", action="store_true",
-                      default=True,
-                      help="estimate via the vectorised SMP trial plane "
-                           "(default; bit-identical to the scalar run)")
-    path.add_argument("--engine", dest="fast_path", action="store_false",
-                      help="estimate via full per-trial scalar executions")
+    _add_route(p, "SMP trial plane", "full per-trial scalar executions",
+               check_default=0.0)
     p.set_defaults(func=_cmd_smp)
 
     p = sub.add_parser("demo", help="run the threshold tester once")

@@ -950,8 +950,8 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
 
         A trial errs when the network verdict disagrees with
         ``is_uniform`` (a ``None`` verdict — the root crashed — counts as
-        an error on either side).  ``rng`` must be seed-like (``None`` or
-        int); trials draw from the trial engine's chunk-keyed streams.
+        an error on either side).  The seed-like ``rng`` (``None`` or an
+        int) keys the trial engine's chunk streams.
 
         ``fast_path`` (default on) uses pack-then-replay: because the
         plan's fault decisions are pure functions of ``(seed, edge,
@@ -961,10 +961,9 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
         run under the plan extracts that layout
         (:class:`~repro.congest.trial_plane.RealisedLayout`); every trial
         then reduces to a numpy collision pass over its sample matrix,
-        bit-identical per trial to the engine route.  ``engine_check``
-        re-runs that fraction of the trials (at least one, a prefix of
-        the same stream) through the full engine and raises on any
-        verdict mismatch.
+        bit-identical per trial to the engine route, which
+        ``engine_check`` audits
+        (:class:`~repro.experiments.runner.AuditedPlane`).
 
         This replay is only sound for a plan that is fixed across
         trials.  Sweeps that re-key the plan per trial (e.g. E14's
@@ -973,14 +972,9 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
         which replays one trial per plan — hardened control flow and
         all — without instantiating nodes.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
-        if not (rng is None or isinstance(rng, (int, np.integer))):
-            raise ParameterError(
-                "estimate_error needs a seed-like rng (None or int), got "
-                f"{type(rng).__name__}"
-            )
-        base_seed = 0 if rng is None else int(rng)
+        from repro.experiments.runner import TrialRunner, seed_of
+
+        base_seed = seed_of(rng, trials)
         if fast_path:
             from repro.congest.trial_plane import HardenedTrialRunner
 
@@ -995,8 +989,6 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
                 workers=workers,
                 engine_check=engine_check,
             )
-        from repro.experiments.runner import TrialRunner
-
         experiment = _HardenedTrialExperiment(
             tester=self,
             topology=topology,
@@ -1005,10 +997,9 @@ CongestUniformityTester`; the execution swaps the quiet-round protocol
             faults=faults,
             d_hint=d_hint,
         )
-        est = TrialRunner(base_seed=base_seed).error_rate(
+        return TrialRunner(base_seed=base_seed).error_rate(
             experiment, trials, "hardened", topology.k, workers=workers
-        )
-        return est.rate
+        ).rate
 
 
 @dataclass(frozen=True)

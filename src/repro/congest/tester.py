@@ -20,7 +20,6 @@ for token forwarding — with ``τ = Θ(n/(kε⁴))`` this is the theorem's
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -462,10 +461,10 @@ class CongestUniformityTester:
     ) -> float:
         """Monte-Carlo error rate over full protocol executions.
 
-        Seed-like ``rng`` routes through the trial engine: chunk-keyed
-        streams, reproducible for any ``workers``, and ``workers > 1``
-        fans full protocol executions out over a process pool.  A
-        ``Generator`` parent falls back to the sequential legacy loop.
+        The seed-like ``rng`` (``None`` or an int) keys the trial
+        engine's chunk streams, reproducible for any ``workers``;
+        ``workers > 1`` fans full protocol executions out over a process
+        pool.
 
         ``warm_start`` (default on) runs each trial from the topology's
         cached tree schedule — the error rate is bit-identical to cold
@@ -473,58 +472,40 @@ class CongestUniformityTester:
         the verdict equivalence is tested) at a fraction of the cost.
         Pass ``False`` to measure the full protocol.
 
-        ``fast_path=True`` (seed-like ``rng`` only) skips the engine
-        entirely: trial verdicts are computed in numpy from the
+        ``fast_path=True`` skips the engine entirely: trial verdicts are
+        computed in numpy from the
         :class:`~repro.congest.trial_plane.PackagingLayout` of the
-        topology's tree schedule, bit-identical per trial to the engine
-        route because both consume the same chunk-keyed sample streams.
-        ``engine_check`` re-runs that fraction of the trials (at least
-        one, a prefix of the same stream) through the real engine and
-        raises if any verdict disagrees.  The engine remains the
-        measurement of record for rounds/bandwidth; the fast path exists
-        for error-rate sweeps, where only the verdict matters.
+        topology's tree schedule — an audited plane whose scalar twin is
+        the engine run, so ``engine_check`` audits a prefix of the trials
+        against it (:class:`~repro.experiments.runner.AuditedPlane`).
+        The engine remains the measurement of record for
+        rounds/bandwidth; the fast path exists for error-rate sweeps,
+        where only the verdict matters.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
-        if rng is None or isinstance(rng, (int, np.integer)):
-            base_seed = 0 if rng is None else int(rng)
-            if fast_path:
-                from repro.congest.trial_plane import CongestTrialRunner
+        from repro.experiments.runner import TrialRunner, seed_of
 
-                runner = CongestTrialRunner.build(self, topology)
-                return runner.error_rate(
-                    distribution,
-                    is_uniform,
-                    trials,
-                    base_seed=base_seed,
-                    workers=workers,
-                    engine_check=engine_check,
-                )
-            from repro.experiments.runner import TrialRunner
-
-            experiment = _CongestTrialExperiment(
-                tester=self,
-                topology=topology,
-                distribution=distribution,
-                is_uniform=is_uniform,
-                warm_start=warm_start,
-            )
-            est = TrialRunner(base_seed=base_seed).error_rate(
-                experiment, trials, "congest", topology.k, workers=workers
-            )
-            return est.rate
+        base_seed = seed_of(rng, trials)
         if fast_path:
-            raise ParameterError(
-                "fast_path needs a seed-like rng (None or int): the trial "
-                "plane replays chunk-keyed streams, not a shared Generator"
+            from repro.congest.trial_plane import CongestTrialRunner
+
+            return CongestTrialRunner.build(self, topology).error_rate(
+                distribution,
+                is_uniform,
+                trials,
+                base_seed=base_seed,
+                workers=workers,
+                engine_check=engine_check,
             )
-        gen = ensure_rng(rng)
-        errors = 0
-        for _ in range(trials):
-            accepted, _ = self.run(topology, distribution, gen, warm_start=warm_start)
-            if accepted != is_uniform:
-                errors += 1
-        return errors / trials
+        experiment = _CongestTrialExperiment(
+            tester=self,
+            topology=topology,
+            distribution=distribution,
+            is_uniform=is_uniform,
+            warm_start=warm_start,
+        )
+        return TrialRunner(base_seed=base_seed).error_rate(
+            experiment, trials, "congest", topology.k, workers=workers
+        ).rate
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,10 @@ chunk-keyed streams exactly like the scalar engine experiments (one
 ``sample_matrix(k, s)``-worth of draws per trial, numpy streams being
 prefix-stable under call splitting), under the same trial labels — so
 fast-path and engine trial ``t`` see the *same sample values* and must
-produce the same verdict.  ``engine_check`` re-runs a prefix of the
-trials through the real engine and raises on any disagreement.  The
+produce the same verdict.  Each runner's :meth:`~CongestTrialRunner.plane`
+is an :class:`~repro.experiments.runner.AuditedPlane` whose scalar twin
+is the real engine run, so ``engine_check`` re-runs a prefix of the
+trials through the engine and raises on any disagreement.  The
 engine remains the measurement of record for rounds, bandwidth and
 fault counters; the trial plane only accelerates verdict statistics.
 """
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,13 +77,13 @@ from repro.exceptions import (
     ParameterError,
     SimulationError,
 )
-from repro.experiments.runner import TrialRunner
+from repro.experiments.runner import AuditedPlane
 from repro.rng import ensure_rng
 from repro.simulator.engine import SynchronousEngine
 from repro.simulator.faults import FaultPlan
 from repro.simulator.graph import Topology, TreeSchedule
 from repro.simulator.message import bits_for_int
-from repro.zeroround.network import auto_batch, grouped_collision_flags
+from repro.zeroround.network import grouped_collision_flags
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +363,43 @@ class HardenedVerdictKernel:
 # ---------------------------------------------------------------------------
 
 
+class _SweepRunner:
+    """The trial-engine API both CONGEST runners share: flags and error
+    rates of the runner's audited :meth:`plane` under ``base_seed``."""
+
+    def run_flags(
+        self,
+        distribution: DiscreteDistribution,
+        is_uniform: bool,
+        trials: int,
+        base_seed: int = 0,
+        workers: int = 1,
+        engine_check: float = 0.0,
+    ) -> np.ndarray:
+        """Per-trial error flags, bit-identical to the tester's
+        ``estimate_error(..., fast_path=False)`` engine route at the same
+        seed; ``engine_check`` audits a prefix of them against it."""
+        return self.plane(distribution, is_uniform, base_seed).run_flags(
+            trials, workers=workers, engine_check=engine_check
+        )
+
+    def error_rate(
+        self,
+        distribution: DiscreteDistribution,
+        is_uniform: bool,
+        trials: int,
+        base_seed: int = 0,
+        workers: int = 1,
+        engine_check: float = 0.0,
+    ) -> float:
+        """Monte-Carlo error rate over :meth:`run_flags`."""
+        return self.plane(distribution, is_uniform, base_seed).error_rate(
+            trials, workers=workers, engine_check=engine_check
+        )
+
+
 @dataclass(frozen=True, eq=False)
-class CongestTrialRunner:
+class CongestTrialRunner(_SweepRunner):
     """Vectorised Monte-Carlo trials for the fault-free CONGEST tester.
 
     Wraps a solved :class:`CongestUniformityTester`, the topology's
@@ -422,88 +460,35 @@ class CongestTrialRunner:
 
     # -- trial-engine APIs ---------------------------------------------
 
-    def run_flags(
+    def plane(
         self,
         distribution: DiscreteDistribution,
         is_uniform: bool,
-        trials: int,
         base_seed: int = 0,
-        workers: int = 1,
-        engine_check: float = 0.0,
-    ) -> np.ndarray:
-        """Per-trial error flags via the chunk-keyed trial engine.
-
-        Bit-identical to the scalar engine route
-        (:meth:`CongestUniformityTester.estimate_error` with
-        ``fast_path=False``) — same ``("congest", k)`` labels, same
-        stream consumption.  ``engine_check`` ∈ [0, 1] re-runs that
-        fraction of the trials (at least one; a prefix of the same
-        stream, so no extra bookkeeping) through the full engine and
-        raises :class:`SimulationError` on any flag mismatch.
-        """
-        if not 0.0 <= engine_check <= 1.0:
-            raise ParameterError(
-                f"engine_check must be in [0, 1], got {engine_check}"
-            )
-        kernel = CongestVerdictKernel(
-            distribution=distribution,
-            members=self.layout.members,
-            threshold=self.threshold,
-            total_tokens=self.layout.total_tokens,
-            is_uniform=is_uniform,
-        )
-        flags = TrialRunner(base_seed=base_seed).run_flags_batched(
-            kernel,
-            trials,
-            "congest",
-            self.topology.k,
-            batch=auto_batch(self.layout.total_tokens),
-            workers=workers,
-        )
-        if engine_check > 0.0:
-            checked = min(trials, max(1, int(round(engine_check * trials))))
-            with telemetry.span(
-                "trial_plane.engine_check", trials=checked
-            ) as sp:
-                experiment = _CongestTrialExperiment(
-                    tester=self.tester,
-                    topology=self.topology,
-                    distribution=distribution,
-                    is_uniform=is_uniform,
-                    warm_start=True,
-                )
-                engine_flags = TrialRunner(base_seed=base_seed).run_flags(
-                    experiment, checked, "congest", self.topology.k
-                )
-                sp.count("checked", checked)
-                if not np.array_equal(engine_flags, flags[:checked]):
-                    bad = np.flatnonzero(engine_flags != flags[:checked])
-                    raise SimulationError(
-                        f"trial-plane verdicts diverge from the engine on "
-                        f"trials {bad[:8].tolist()} of {checked} checked — "
-                        f"bit-identity contract broken"
-                    )
-        return flags
-
-    def error_rate(
-        self,
-        distribution: DiscreteDistribution,
-        is_uniform: bool,
-        trials: int,
-        base_seed: int = 0,
-        workers: int = 1,
-        engine_check: float = 0.0,
-    ) -> float:
-        """Monte-Carlo error rate over :meth:`run_flags`."""
-        flags = self.run_flags(
-            distribution,
-            is_uniform,
-            trials,
+    ) -> AuditedPlane:
+        """The audited plane of one sweep: the batched kernel, with the
+        warm engine run as its scalar twin under ``("congest", k)``."""
+        return AuditedPlane(
+            kernel=CongestVerdictKernel(
+                distribution=distribution,
+                members=self.layout.members,
+                threshold=self.threshold,
+                total_tokens=self.layout.total_tokens,
+                is_uniform=is_uniform,
+            ),
+            scalar=partial(
+                _CongestTrialExperiment,
+                tester=self.tester,
+                topology=self.topology,
+                distribution=distribution,
+                is_uniform=is_uniform,
+                warm_start=True,
+            ),
+            labels=("congest", self.topology.k),
+            elements_per_trial=self.layout.total_tokens,
             base_seed=base_seed,
-            workers=workers,
-            engine_check=engine_check,
+            span="trial_plane",
         )
-        return float(flags.sum()) / trials
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +602,7 @@ class RealisedLayout:
 
 
 @dataclass(frozen=True, eq=False)
-class HardenedTrialRunner:
+class HardenedTrialRunner(_SweepRunner):
     """Pack-then-replay Monte-Carlo trials for the hardened tester.
 
     One probe run under the fixed plan fixes the counted layout; trial
@@ -687,81 +672,36 @@ class HardenedTrialRunner:
 
     # -- trial-engine APIs ---------------------------------------------
 
-    def run_flags(
+    def plane(
         self,
         distribution: DiscreteDistribution,
         is_uniform: bool,
-        trials: int,
         base_seed: int = 0,
-        workers: int = 1,
-        engine_check: float = 0.0,
-    ) -> np.ndarray:
-        """Per-trial error flags, bit-identical to the engine route
-        (labels ``("hardened", k)``); see
-        :meth:`CongestTrialRunner.run_flags` for the ``engine_check``
-        contract."""
-        if not 0.0 <= engine_check <= 1.0:
-            raise ParameterError(
-                f"engine_check must be in [0, 1], got {engine_check}"
-            )
-        kernel = HardenedVerdictKernel(
-            distribution=distribution,
-            members=self.layout.members,
-            threshold=self.threshold,
-            total_tokens=self.layout.total_tokens,
-            is_uniform=is_uniform,
-            root_alive=self.layout.root_alive,
-        )
-        flags = TrialRunner(base_seed=base_seed).run_flags_batched(
-            kernel,
-            trials,
-            "hardened",
-            self.topology.k,
-            batch=auto_batch(self.layout.total_tokens),
-            workers=workers,
-        )
-        if engine_check > 0.0:
-            checked = min(trials, max(1, int(round(engine_check * trials))))
-            with telemetry.span(
-                "trial_plane.engine_check", trials=checked, hardened=True
-            ) as sp:
-                experiment = _HardenedTrialExperiment(
-                    tester=self.tester,
-                    topology=self.topology,
-                    distribution=distribution,
-                    is_uniform=is_uniform,
-                    faults=self.faults,
-                    d_hint=self.d_hint,
-                )
-                engine_flags = TrialRunner(base_seed=base_seed).run_flags(
-                    experiment, checked, "hardened", self.topology.k
-                )
-                sp.count("checked", checked)
-                if not np.array_equal(engine_flags, flags[:checked]):
-                    bad = np.flatnonzero(engine_flags != flags[:checked])
-                    raise SimulationError(
-                        f"pack-then-replay verdicts diverge from the engine "
-                        f"on trials {bad[:8].tolist()} of {checked} checked "
-                        f"— bit-identity contract broken"
-                    )
-        return flags
-
-    def error_rate(
-        self,
-        distribution: DiscreteDistribution,
-        is_uniform: bool,
-        trials: int,
-        base_seed: int = 0,
-        workers: int = 1,
-        engine_check: float = 0.0,
-    ) -> float:
-        """Monte-Carlo error rate over :meth:`run_flags`."""
-        flags = self.run_flags(
-            distribution,
-            is_uniform,
-            trials,
+    ) -> AuditedPlane:
+        """The audited plane of one sweep: the replayed kernel, with the
+        engine run under the fixed plan as its scalar twin under
+        ``("hardened", k)``."""
+        return AuditedPlane(
+            kernel=HardenedVerdictKernel(
+                distribution=distribution,
+                members=self.layout.members,
+                threshold=self.threshold,
+                total_tokens=self.layout.total_tokens,
+                is_uniform=is_uniform,
+                root_alive=self.layout.root_alive,
+            ),
+            scalar=partial(
+                _HardenedTrialExperiment,
+                tester=self.tester,
+                topology=self.topology,
+                distribution=distribution,
+                is_uniform=is_uniform,
+                faults=self.faults,
+                d_hint=self.d_hint,
+            ),
+            labels=("hardened", self.topology.k),
+            elements_per_trial=self.layout.total_tokens,
             base_seed=base_seed,
-            workers=workers,
-            engine_check=engine_check,
+            span="trial_plane",
+            span_attrs={"hardened": True},
         )
-        return float(flags.sum()) / trials

@@ -9,7 +9,8 @@ and the examples:
 - :mod:`repro.experiments.runner` — the batched, parallel Monte-Carlo
   trial engine: deterministic per-configuration chunk streams keyed by
   (seed, labels, chunk), with serial, vectorised and process-pool paths
-  that produce bit-identical results.
+  that produce bit-identical results, and the audited-plane contract
+  every vectorised fast path shares.
 - :mod:`repro.experiments.tables` — plain-ASCII table rendering for
   benchmark output (the repo's stand-in for the paper's tables).
 - :mod:`repro.experiments.sweeps` — parameter grids and log-log slope
@@ -21,9 +22,9 @@ and the examples:
 
 from repro.experiments.runner import (
     TRIAL_CHUNK,
+    AuditedPlane,
     TrialRunner,
-    estimate_probability,
-    estimate_probability_batched,
+    seed_of,
 )
 from repro.experiments.stats import (
     ErrorEstimate,
@@ -47,8 +48,8 @@ from repro.experiments.tables import Table
 __all__ = [
     "TRIAL_CHUNK",
     "TrialRunner",
-    "estimate_probability",
-    "estimate_probability_batched",
+    "AuditedPlane",
+    "seed_of",
     "ErrorEstimate",
     "estimate",
     "wilson_interval",

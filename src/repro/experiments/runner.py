@@ -34,20 +34,24 @@ bit-identical failure flags through either API.
 For multi-process execution the experiment callable must be picklable:
 use a module-level function or a frozen dataclass with ``__call__`` (the
 kernels in :mod:`repro.zeroround.network` are), not a local closure.
+
+Every vectorised fast path ("plane") of this package is an
+:class:`AuditedPlane`, and every Monte-Carlo front-end resolves its
+seed-like ``rng`` with :func:`seed_of`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, SimulationError
 from repro.experiments.stats import ErrorEstimate, estimate
-from repro.rng import derive
+from repro.rng import SeedLike, derive
 
 #: Trials per randomness chunk.  This is the engine's reproducibility
 #: quantum: changing it re-keys every stream, so it is a constant, not a
@@ -259,26 +263,106 @@ class TrialRunner:
         return estimate(int(flags.sum()), trials)
 
 
-def estimate_probability(
-    experiment: ScalarExperiment,
-    trials: int,
-    seed: int = 0,
-    workers: int = 1,
-) -> ErrorEstimate:
-    """One-off convenience wrapper around :class:`TrialRunner`."""
-    return TrialRunner(base_seed=seed).error_rate(
-        experiment, trials, "adhoc", workers=workers
+def seed_of(rng: SeedLike, trials: Optional[int] = None) -> int:
+    """The base seed a Monte-Carlo front-end keys its trials by.
+
+    ``None`` is seed 0 and an int is itself.  Anything else — a
+    ``Generator`` in particular — raises :class:`ParameterError`: trials
+    are keyed by ``(base_seed, *labels, chunk)``, and a live generator
+    carries no seed to key them by.  ``trials``, when given, must be
+    ``>= 1``; it is checked first.
+    """
+    if trials is not None and trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if rng is None:
+        return 0
+    if isinstance(rng, (int, np.integer)):
+        return int(rng)
+    raise ParameterError(
+        f"Monte-Carlo trials need a seed-like rng (None or int) to key "
+        f"their chunk streams, got {type(rng).__name__}"
     )
 
 
-def estimate_probability_batched(
-    experiment: BatchedExperiment,
-    trials: int,
-    seed: int = 0,
-    batch: int = TRIAL_CHUNK,
-    workers: int = 1,
-) -> ErrorEstimate:
-    """One-off convenience wrapper around :meth:`TrialRunner.error_rate_batched`."""
-    return TrialRunner(base_seed=seed).error_rate_batched(
-        experiment, trials, "adhoc", batch=batch, workers=workers
-    )
+@dataclass(frozen=True, eq=False)
+class AuditedPlane:
+    """A batched kernel, audited against its scalar twin.
+
+    ``kernel`` is a batched experiment and ``scalar`` a zero-argument
+    factory of its scalar twin, the per-trial experiment that runs the
+    real protocol.  Both are keyed by ``labels`` under ``base_seed`` and
+    must consume each trial's chunk stream identically, so their flags
+    are bit-identical.  The factory is called only when a
+    flag set is actually replayed through the twin, so a plane can
+    attach a structural check to the audit (the LOCAL plane re-verifies
+    its MIS layout there).  ``elements_per_trial`` sizes the kernel's
+    batches (:func:`~repro.zeroround.network.auto_batch`); ``span`` is
+    the telemetry prefix of the audit span ``<span>.engine_check``,
+    which carries ``span_attrs``.
+    """
+
+    kernel: BatchedExperiment
+    scalar: Callable[[], ScalarExperiment]
+    labels: Tuple[Label, ...]
+    elements_per_trial: int
+    span: str
+    base_seed: int = 0
+    span_attrs: Mapping[str, object] = field(default_factory=dict)
+
+    def run_flags(
+        self, trials: int, workers: int = 1, engine_check: float = 0.0
+    ) -> np.ndarray:
+        """Per-trial error flags from the kernel, audited.
+
+        ``engine_check`` ∈ [0, 1] replays that fraction of the trials (at
+        least one; a prefix of the same streams) through the scalar twin
+        and raises :class:`SimulationError`, naming the first diverging
+        trials, if any flag differs.
+        """
+        from repro.zeroround.network import auto_batch
+
+        if not 0.0 <= engine_check <= 1.0:
+            raise ParameterError(
+                f"engine_check must be in [0, 1], got {engine_check}"
+            )
+        flags = TrialRunner(base_seed=self.base_seed).run_flags_batched(
+            self.kernel,
+            trials,
+            *self.labels,
+            batch=auto_batch(self.elements_per_trial),
+            workers=workers,
+        )
+        if engine_check > 0.0:
+            checked = min(trials, max(1, int(round(engine_check * trials))))
+            with telemetry.span(
+                f"{self.span}.engine_check", trials=checked, **self.span_attrs
+            ) as sp:
+                scalar = self.scalar_flags(checked)
+                sp.count("checked", checked)
+            bad = np.flatnonzero(scalar != flags[:checked])
+            if bad.size:
+                raise SimulationError(
+                    f"{self.span} verdicts diverge from the scalar route on "
+                    f"trials {bad[:8].tolist()} of {checked} checked — "
+                    f"bit-identity contract broken"
+                )
+        return flags
+
+    def scalar_flags(self, trials: int, workers: int = 1) -> np.ndarray:
+        """The scalar twin's flags on the same chunk-keyed streams."""
+        return TrialRunner(base_seed=self.base_seed).run_flags(
+            self.scalar(), trials, *self.labels, workers=workers
+        )
+
+    def error_rate(
+        self, trials: int, workers: int = 1, engine_check: float = 0.0
+    ) -> float:
+        """Monte-Carlo error rate over :meth:`run_flags`."""
+        flags = self.run_flags(
+            trials, workers=workers, engine_check=engine_check
+        )
+        return float(flags.sum()) / trials
+
+    def scalar_error_rate(self, trials: int, workers: int = 1) -> float:
+        """Monte-Carlo error rate over :meth:`scalar_flags`."""
+        return float(self.scalar_flags(trials, workers=workers).sum()) / trials

@@ -50,17 +50,20 @@ being prefix-stable under call splitting), under the same
 ``("local", k)`` labels — so fast-path and scalar trial ``t`` see the
 *same sample values* and must produce the same verdict.  The MIS
 randomness is keyed by :func:`mis_generator` on ``(base_seed, radius)``
-so both routes prepare the *same plan*.  ``engine_check`` re-runs a
-prefix of the trials through the scalar tester and cross-checks the
-layout against a real :func:`~repro.localmodel.mis.luby_mis` engine run,
-raising :class:`~repro.exceptions.SimulationError` on any divergence.
+so both routes prepare the *same plan*.  :meth:`LocalTrialRunner.plane`
+is an :class:`~repro.experiments.runner.AuditedPlane`: ``engine_check``
+cross-checks the layout against a real
+:func:`~repro.localmodel.mis.luby_mis` engine run (once per layout) and
+re-runs a prefix of the trials through the scalar tester, raising
+:class:`~repro.exceptions.SimulationError` on any divergence.
 The engine remains the measurement of record for rounds and message
 complexity; the trial plane only accelerates verdict statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -69,12 +72,11 @@ from repro import telemetry
 from repro.core.params import AndRuleParameters
 from repro.distributions.base import DiscreteDistribution
 from repro.exceptions import ParameterError, SimulationError
-from repro.experiments.runner import TrialRunner
+from repro.experiments.runner import AuditedPlane
 from repro.localmodel.gather import GatherResult, assign_catchments
 from repro.localmodel.mis import luby_mis
 from repro.rng import derive, ensure_rng, spawn
 from repro.simulator.graph import Topology
-from repro.zeroround.network import auto_batch, grouped_collision_flags
 
 #: Sentinel larger than any drawn priority (draws are < 2**63 - 1).
 _NO_PRIORITY = np.int64(2**63 - 1)
@@ -261,6 +263,12 @@ class LocalLayout:
     membership: np.ndarray
     mis_rounds: int
     gather: GatherResult
+    #: ``(topology, check)`` pairs :meth:`verify_layout` has computed.
+    #: Held on the object, never keyed by ``(radius, seed)``: a
+    #: ``dataclasses.replace``d copy starts with no verdict of its own.
+    _verified: list = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     @property
     def mis_size(self) -> int:
@@ -323,12 +331,16 @@ class LocalLayout:
         ``topology.power_graph(radius)``, routes catchments from the
         engine's membership, and compares membership, round count and
         per-node owners.  A round-count mismatch is reported as node
-        ``-1``.
+        ``-1``.  The result is memoised on this layout per topology, so
+        every audit of one plan pays for one engine run.
         """
         if topology.k != self.k:
             raise ParameterError(
                 f"layout built for k={self.k}, topology has {topology.k}"
             )
+        for checked, check in self._verified:
+            if checked is topology:
+                return check
         power = (
             topology.power_graph(self.radius) if topology.k > 1 else topology
         )
@@ -344,9 +356,11 @@ class LocalLayout:
         ]
         if engine_rounds != self.mis_rounds:
             mismatched.append(-1)
-        return LocalLayoutCheck(
+        check = LocalLayoutCheck(
             equivalent=not mismatched, mismatched_nodes=tuple(mismatched)
         )
+        self._verified.append((topology, check))
+        return check
 
     def slot_matrix(self, params: AndRuleParameters) -> np.ndarray:
         """Per-repetition sample-slot lists, ``(mis_size·m, s')`` int64.
@@ -505,14 +519,7 @@ class LocalTrialRunner:
             params=self.params,
         )
 
-    # -- per-sample / per-seed APIs ------------------------------------
-
-    def accepts(self, samples: np.ndarray) -> np.ndarray:
-        """Verdicts for a ``(trials, k)`` sample batch."""
-        flat = np.asarray(samples).reshape(-1, self.layout.k)
-        collided = grouped_collision_flags(flat, self.members)
-        rejects = collided.reshape(flat.shape[0], -1, self.params.m).all(axis=2)
-        return ~rejects.any(axis=1)
+    # -- per-seed API ---------------------------------------------------
 
     def verdicts_for_seeds(
         self, distribution: DiscreteDistribution, seeds
@@ -524,13 +531,7 @@ class LocalTrialRunner:
         ``sample_uniform(k)``), so verdict ``i`` is bit-identical to the
         scalar decision at ``seeds[i]`` over the shared plan.
         """
-        kernel = LocalVerdictKernel(
-            distribution=distribution,
-            members=self.members,
-            m=self.params.m,
-            total_samples=self.layout.k,
-            is_uniform=True,
-        )
+        kernel = self.plane(distribution, is_uniform=True).kernel
         drawn = np.stack(
             [
                 distribution.sample_uniform(self.layout.k, ensure_rng(seed))
@@ -541,6 +542,49 @@ class LocalTrialRunner:
 
     # -- trial-engine APIs ---------------------------------------------
 
+    def plane(
+        self, distribution: DiscreteDistribution, is_uniform: bool
+    ) -> AuditedPlane:
+        """The audited plane of one sweep: the batched kernel, with the
+        scalar ``test_with_plan`` decision as its twin under
+        ``("local", k)``.  The twin is built only under audit, after the
+        layout has been cross-checked against a real engine MIS run."""
+        return AuditedPlane(
+            kernel=LocalVerdictKernel(
+                distribution=distribution,
+                members=self.members,
+                m=self.params.m,
+                total_samples=self.layout.k,
+                is_uniform=is_uniform,
+            ),
+            scalar=partial(self._audited_twin, distribution, is_uniform),
+            labels=("local", self.topology.k),
+            elements_per_trial=self.layout.k,
+            base_seed=self.base_seed,
+            span="local_plane",
+        )
+
+    def _audited_twin(
+        self, distribution: DiscreteDistribution, is_uniform: bool
+    ) -> "_LocalTrialExperiment":
+        """Verify the layout against the engine, then return the scalar
+        trial experiment over the plan it encodes."""
+        from repro.localmodel.tester import _LocalTrialExperiment
+
+        check = self.layout.verify_layout(self.topology)
+        if not check.equivalent:
+            raise SimulationError(
+                f"local-plane layout diverges from the engine MIS at "
+                f"nodes {check.mismatched_nodes[:8]} — bit-identity "
+                f"contract broken"
+            )
+        return _LocalTrialExperiment(
+            tester=self.tester,
+            plan=self.plan,
+            distribution=distribution,
+            is_uniform=is_uniform,
+        )
+
     def run_flags(
         self,
         distribution: DiscreteDistribution,
@@ -549,69 +593,14 @@ class LocalTrialRunner:
         workers: int = 1,
         engine_check: float = 0.0,
     ) -> np.ndarray:
-        """Per-trial error flags via the chunk-keyed trial engine.
-
-        Bit-identical to the scalar route
+        """Per-trial error flags of :meth:`plane`, bit-identical to the
+        scalar route
         (:meth:`~repro.localmodel.tester.LocalUniformityTester.estimate_error`
-        with ``fast_path=False`` and the same seed-like rng) — same
-        ``("local", k)`` labels, same stream consumption.
-        ``engine_check`` ∈ [0, 1] re-runs that fraction of the trials
-        (at least one; a prefix of the same stream) through the scalar
-        ``test_with_plan`` decision *and* cross-checks the layout
-        against a real engine MIS run, raising
-        :class:`SimulationError` on any divergence.
-        """
-        if not 0.0 <= engine_check <= 1.0:
-            raise ParameterError(
-                f"engine_check must be in [0, 1], got {engine_check}"
-            )
-        kernel = LocalVerdictKernel(
-            distribution=distribution,
-            members=self.members,
-            m=self.params.m,
-            total_samples=self.layout.k,
-            is_uniform=is_uniform,
+        with ``fast_path=False`` and the same seed); ``engine_check``
+        audits a prefix of them and the layout."""
+        return self.plane(distribution, is_uniform).run_flags(
+            trials, workers=workers, engine_check=engine_check
         )
-        flags = TrialRunner(base_seed=self.base_seed).run_flags_batched(
-            kernel,
-            trials,
-            "local",
-            self.topology.k,
-            batch=auto_batch(self.layout.k),
-            workers=workers,
-        )
-        if engine_check > 0.0:
-            checked = min(trials, max(1, int(round(engine_check * trials))))
-            with telemetry.span(
-                "local_plane.engine_check", trials=checked
-            ) as sp:
-                check = self.layout.verify_layout(self.topology)
-                if not check.equivalent:
-                    raise SimulationError(
-                        f"local-plane layout diverges from the engine MIS "
-                        f"at nodes {check.mismatched_nodes[:8]} — "
-                        f"bit-identity contract broken"
-                    )
-                from repro.localmodel.tester import _LocalTrialExperiment
-
-                experiment = _LocalTrialExperiment(
-                    tester=self.tester,
-                    plan=self.plan,
-                    distribution=distribution,
-                    is_uniform=is_uniform,
-                )
-                scalar_flags = TrialRunner(base_seed=self.base_seed).run_flags(
-                    experiment, checked, "local", self.topology.k
-                )
-                sp.count("checked", checked)
-                if not np.array_equal(scalar_flags, flags[:checked]):
-                    bad = np.flatnonzero(scalar_flags != flags[:checked])
-                    raise SimulationError(
-                        f"local-plane verdicts diverge from the scalar "
-                        f"tester on trials {bad[:8].tolist()} of {checked} "
-                        f"checked — bit-identity contract broken"
-                    )
-        return flags
 
     def error_rate(
         self,
@@ -622,11 +611,6 @@ class LocalTrialRunner:
         engine_check: float = 0.0,
     ) -> float:
         """Monte-Carlo error rate over :meth:`run_flags`."""
-        flags = self.run_flags(
-            distribution,
-            is_uniform,
-            trials,
-            workers=workers,
-            engine_check=engine_check,
+        return self.plane(distribution, is_uniform).error_rate(
+            trials, workers=workers, engine_check=engine_check
         )
-        return float(flags.sum()) / trials

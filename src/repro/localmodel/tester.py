@@ -21,14 +21,13 @@ benchmark E7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.params import AndRuleParameters, and_rule_parameters
 from repro.distributions.base import DiscreteDistribution
 from repro.exceptions import InfeasibleParametersError, ParameterError
-from repro.experiments.runner import TrialRunner
+from repro.experiments.runner import TrialRunner, seed_of
 from repro.localmodel.gather import GatherResult, assign_catchments
 from repro.localmodel.mis import luby_mis, verify_mis
 from repro.rng import SeedLike, ensure_rng
@@ -206,6 +205,25 @@ class LocalUniformityTester:
             params=plan.params,
         )
 
+    def seeded_plan(
+        self, topology: Topology, r: int, base_seed: int = 0
+    ) -> LocalPlan:
+        """:meth:`plan` on the MIS coins the seed-like routes share.
+
+        The coins come from
+        :func:`~repro.localmodel.local_plane.mis_generator` keyed on
+        ``(base_seed, effective radius)``, so this engine-built plan is
+        the one :class:`~repro.localmodel.local_plane.LocalLayout`
+        replays for the same seed.
+        """
+        from repro.localmodel.local_plane import (
+            effective_radius,
+            mis_generator,
+        )
+
+        radius = effective_radius(topology, r)
+        return self.plan(topology, r, mis_generator(base_seed, radius))
+
     def choose_radius(
         self,
         topology: Topology,
@@ -215,36 +233,25 @@ class LocalUniformityTester:
     ) -> int:
         """Smallest power-of-two-ish radius at which the tester is feasible.
 
-        Doubles ``r`` until a trial MIS/gather supports Theorem 1.1;
+        Doubles ``r`` until the plan at ``r`` supports Theorem 1.1;
         raises if even ``r = k − 1`` (full gathering at one node) fails —
         which means the whole network lacks ``Θ(√n/ε²)`` samples.
 
-        Each probe is one full :meth:`plan` call (same structural code,
-        same ``verify_mis`` cross-check, same rng consumption), so the
-        search cannot diverge from the plan it recommends.  With
-        ``fast_path=True`` (seed-like rng only) the probes instead replay
-        the MIS structurally via
+        Every probe is the plan of the seed-like ``rng`` at that radius
+        (MIS coins keyed on ``(seed, radius)``), so the returned radius
+        is feasible for exactly the plan :meth:`estimate_error` then
+        runs at the same seed.  The scalar route builds each probe with
+        :meth:`seeded_plan` (same ``verify_mis`` cross-check); with
+        ``fast_path=True`` the probes replay the MIS structurally via
         :class:`~repro.localmodel.local_plane.LocalLayout`, sharing the
-        per-``(radius, seed)`` layout cache with any subsequent
-        fast-path error sweep — the returned radius is feasible by the
-        same :meth:`solve_for_layout` rule, though the probe MIS coins
-        are keyed per radius rather than drawn sequentially.
+        per-``(radius, seed)`` layout cache with the fast-path sweep.
         """
-        if fast_path:
-            from repro.localmodel.local_plane import LocalLayout
+        from repro.localmodel.local_plane import LocalLayout, effective_radius
 
-            if rng is not None and not isinstance(rng, (int, np.integer)):
-                raise ParameterError(
-                    "fast_path needs a seed-like rng (None or int): the "
-                    "layout cache replays per-radius keyed streams, not a "
-                    "shared Generator"
-                )
-            base_seed = 0 if rng is None else int(rng)
-        else:
-            gen = ensure_rng(rng)
+        base_seed = seed_of(rng)
         r = max(1, start)
         while r < 2 * topology.k:
-            radius = min(r, topology.k - 1) if topology.k > 1 else 1
+            radius = effective_radius(topology, r)
             try:
                 if fast_path:
                     layout = LocalLayout.build(topology, r, base_seed=base_seed)
@@ -252,7 +259,7 @@ class LocalUniformityTester:
                         layout.mis_size, layout.min_catchment, r
                     )
                 else:
-                    self.plan(topology, r, gen)
+                    self.seeded_plan(topology, r, base_seed)
                 return radius
             except InfeasibleParametersError:
                 pass
@@ -283,64 +290,36 @@ class LocalUniformityTester:
         0-round guarantee does not rely on; the structural plan is fixed
         and each trial draws fresh samples, matching the model.
 
-        With a seed-like ``rng`` (``None`` or an int) the MIS coins come
-        from :func:`~repro.localmodel.local_plane.mis_generator` and the
-        trials run on the chunk-keyed trial engine — ``fast_path=True``
-        routes them through the vectorised
-        :class:`~repro.localmodel.local_plane.LocalTrialRunner`
-        (bit-identical flags; ``engine_check`` re-runs a prefix through
-        the scalar tester and cross-checks the layout against a real
-        engine MIS, raising ``SimulationError`` on divergence).  A
-        shared ``Generator`` keeps the legacy sequential loop.
+        The seed-like ``rng`` (``None`` or an int) keys both the plan
+        (:meth:`seeded_plan`) and the chunk-keyed trials.
+        ``fast_path=True`` routes them through the vectorised
+        :class:`~repro.localmodel.local_plane.LocalTrialRunner`, whose
+        flags are bit-identical and audited by ``engine_check``
+        (:meth:`~repro.localmodel.local_plane.LocalTrialRunner.plane`).
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
-        if rng is None or isinstance(rng, (int, np.integer)):
-            from repro.localmodel.local_plane import (
-                LocalTrialRunner,
-                effective_radius,
-                mis_generator,
-            )
-
-            base_seed = 0 if rng is None else int(rng)
-            if fast_path:
-                runner = LocalTrialRunner.build(
-                    self, topology, r, base_seed=base_seed
-                )
-                return runner.error_rate(
-                    distribution,
-                    is_uniform,
-                    trials,
-                    workers=workers,
-                    engine_check=engine_check,
-                )
-            plan = self.plan(
-                topology,
-                r,
-                mis_generator(base_seed, effective_radius(topology, r)),
-            )
-            experiment = _LocalTrialExperiment(
-                tester=self,
-                plan=plan,
-                distribution=distribution,
-                is_uniform=is_uniform,
-            )
-            return TrialRunner(base_seed=base_seed).error_rate(
-                experiment, trials, "local", topology.k, workers=workers
-            ).rate
+        base_seed = seed_of(rng, trials)
         if fast_path:
-            raise ParameterError(
-                "fast_path needs a seed-like rng (None or int): the trial "
-                "plane replays chunk-keyed streams, not a shared Generator"
+            from repro.localmodel.local_plane import LocalTrialRunner
+
+            runner = LocalTrialRunner.build(
+                self, topology, r, base_seed=base_seed
             )
-        gen = ensure_rng(rng)
-        plan = self.plan(topology, r, gen)
-        errors = 0
-        for _ in range(trials):
-            accepted = self.test_with_plan(plan, distribution, gen)
-            if accepted != is_uniform:
-                errors += 1
-        return errors / trials
+            return runner.error_rate(
+                distribution,
+                is_uniform,
+                trials,
+                workers=workers,
+                engine_check=engine_check,
+            )
+        experiment = _LocalTrialExperiment(
+            tester=self,
+            plan=self.seeded_plan(topology, r, base_seed),
+            distribution=distribution,
+            is_uniform=is_uniform,
+        )
+        return TrialRunner(base_seed=base_seed).error_rate(
+            experiment, trials, "local", topology.k, workers=workers
+        ).rate
 
 
 @dataclass(frozen=True)

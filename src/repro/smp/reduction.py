@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.gap import CentralizedTester
 from repro.distributions.base import DiscreteDistribution
-from repro.exceptions import CodingError, ParameterError
+from repro.experiments.runner import seed_of
 from repro.rng import SeedLike, ensure_rng
 from repro.smp._validation import check_trials
 from repro.smp.codes import ConcatenatedCode
@@ -185,38 +184,21 @@ class TesterBasedEqualityProtocol:
         """Monte-Carlo error rate on ``(x, y)``: fraction of trials whose
         referee verdict disagrees with the ground truth ``x == y``.
 
-        With a seed-like ``rng`` (``None`` or an int) the trials run on
-        the chunk-keyed trial engine; ``fast_path=True`` (the default)
-        routes them through the vectorised
-        :class:`~repro.smp.smp_plane.EqualityTrialRunner` — one batched
-        driver draw plus vectorised tester verdicts, bit-identical flags
-        per seed, with ``engine_check`` re-running that fraction of the
-        trials through the scalar :meth:`run` and raising
-        :class:`~repro.exceptions.SimulationError` on divergence.  A live
-        ``Generator`` keeps the legacy sequential loop (and requires
-        ``fast_path=False``).
+        The trials run on the chunk-keyed trial engine, keyed by a
+        seed-like ``rng`` (``None`` or an int); ``fast_path=True`` (the
+        default) routes them through the vectorised
+        :class:`~repro.smp.smp_plane.EqualityTrialRunner`, an audited
+        plane whose scalar twin is :meth:`run`: bit-identical flags per
+        seed, with ``engine_check`` auditing a prefix of them.
         """
         trials = check_trials(trials)
-        if rng is None or isinstance(rng, (int, np.integer)):
-            from repro.smp.smp_plane import EqualityTrialRunner
+        from repro.smp.smp_plane import EqualityTrialRunner
 
-            runner = EqualityTrialRunner.for_reduction(
-                self, x, y, base_seed=0 if rng is None else int(rng)
-            )
-            if fast_path:
-                return runner.error_rate(
-                    trials, workers=workers, engine_check=engine_check
-                )
-            return runner.scalar_error_rate(trials, workers=workers)
+        runner = EqualityTrialRunner.for_reduction(
+            self, x, y, base_seed=seed_of(rng)
+        )
         if fast_path:
-            raise ParameterError(
-                "fast_path needs a seed-like rng (None or int): the trial "
-                "plane replays chunk-keyed streams, not a shared Generator"
+            return runner.error_rate(
+                trials, workers=workers, engine_check=engine_check
             )
-        gen = ensure_rng(rng)
-        equal = bool(np.array_equal(np.asarray(x), np.asarray(y)))
-        errors = 0
-        for _ in range(trials):
-            if self.run(x, y, gen) != equal:
-                errors += 1
-        return errors / trials
+        return runner.scalar_error_rate(trials, workers=workers)

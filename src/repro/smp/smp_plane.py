@@ -32,25 +32,26 @@ labels, same per-trial stream consumption), so fast-path and scalar
 trial ``t`` see the *same coins* and must produce the same verdict.
 ``engine_check`` re-runs a prefix of the trials through the scalar
 protocol and raises :class:`~repro.exceptions.SimulationError` on any
-divergence.  The scalar route remains the measurement of record for
-communication cost; the plane only accelerates verdict statistics.
+divergence — the audited-plane contract of
+:mod:`repro.experiments.runner`.  The scalar route remains the
+measurement of record for communication cost; the plane only
+accelerates verdict statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import partial
+from typing import List
 
 import numpy as np
 
 from repro import telemetry
 from repro.core.gap import decide_many
-from repro.exceptions import ParameterError, SimulationError
-from repro.experiments.runner import TrialRunner
+from repro.experiments.runner import AuditedPlane
 from repro.rng import ensure_rng
 from repro.smp.equality import EqualityProtocol
 from repro.smp.reduction import TesterBasedEqualityProtocol, support_driver
-from repro.zeroround.network import auto_batch
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +176,16 @@ class ReductionVerdictKernel:
 
 
 @dataclass(frozen=True, eq=False)
-class EqualityTrialRunner:
+class EqualityTrialRunner(AuditedPlane):
     """Vectorised Monte-Carlo trials for one SMP protocol on one input pair.
 
-    Encodes the inputs once (one batched
+    An :class:`~repro.experiments.runner.AuditedPlane` whose scalar twin
+    is the full protocol ``run()``.  Build with :meth:`for_torus` or
+    :meth:`for_reduction`: each encodes the inputs once (one batched
     :meth:`~repro.smp.codes.ConcatenatedCode.encode_many` call under the
     ``smp_plane.encode`` span), then replays whole trial batches through
-    the chunk-keyed trial engine.  Build with :meth:`for_torus` or
-    :meth:`for_reduction`; the scalar twin rides along so
-    ``engine_check`` and :meth:`scalar_flags` replay the *same* labelled
-    streams through the full protocol.
+    the chunk-keyed trial engine.
     """
-
-    kernel: object
-    scalar: object
-    labels: Tuple
-    elements_per_trial: int
-    base_seed: int
 
     @staticmethod
     def for_torus(
@@ -220,13 +214,15 @@ class EqualityTrialRunner:
             chunk_length=protocol.chunk_length,
             equal=equal,
         )
-        scalar = _TorusTrialExperiment(protocol=protocol, x=x, y=y, equal=equal)
         return EqualityTrialRunner(
             kernel=kernel,
-            scalar=scalar,
+            scalar=partial(
+                _TorusTrialExperiment, protocol=protocol, x=x, y=y, equal=equal
+            ),
             labels=("smp", "torus", side),
             elements_per_trial=4,
             base_seed=int(base_seed),
+            span="smp_plane",
         )
 
     @staticmethod
@@ -259,15 +255,19 @@ class EqualityTrialRunner:
             q=q,
             equal=equal,
         )
-        scalar = _ReductionTrialExperiment(
-            protocol=protocol, x=x, y=y, equal=equal
-        )
         return EqualityTrialRunner(
             kernel=kernel,
-            scalar=scalar,
+            scalar=partial(
+                _ReductionTrialExperiment,
+                protocol=protocol,
+                x=x,
+                y=y,
+                equal=equal,
+            ),
             labels=("smp", "bcg", mapping.domain_size),
             elements_per_trial=3 * q,
             base_seed=int(base_seed),
+            span="smp_plane",
         )
 
     # -- per-seed API ---------------------------------------------------
@@ -282,64 +282,3 @@ class EqualityTrialRunner:
         return [
             bool(self.kernel.accepts(ensure_rng(seed), 1)[0]) for seed in seeds
         ]
-
-    # -- trial-engine APIs ---------------------------------------------
-
-    def run_flags(
-        self, trials: int, workers: int = 1, engine_check: float = 0.0
-    ) -> np.ndarray:
-        """Per-trial error flags via the chunk-keyed trial engine.
-
-        Bit-identical to :meth:`scalar_flags` — same labels, same stream
-        consumption.  ``engine_check`` ∈ [0, 1] re-runs that fraction of
-        the trials (at least one; a prefix of the same stream) through
-        the full scalar ``run()``, raising :class:`SimulationError` on
-        any divergence.
-        """
-        if not 0.0 <= engine_check <= 1.0:
-            raise ParameterError(
-                f"engine_check must be in [0, 1], got {engine_check}"
-            )
-        flags = TrialRunner(base_seed=self.base_seed).run_flags_batched(
-            self.kernel,
-            trials,
-            *self.labels,
-            batch=auto_batch(self.elements_per_trial),
-            workers=workers,
-        )
-        if engine_check > 0.0:
-            checked = min(trials, max(1, int(round(engine_check * trials))))
-            with telemetry.span("smp_plane.engine_check", trials=checked) as sp:
-                scalar_flags = TrialRunner(base_seed=self.base_seed).run_flags(
-                    self.scalar, checked, *self.labels
-                )
-                sp.count("checked", checked)
-                if not np.array_equal(scalar_flags, flags[:checked]):
-                    bad = np.flatnonzero(scalar_flags != flags[:checked])
-                    raise SimulationError(
-                        f"smp-plane verdicts diverge from the scalar "
-                        f"protocol on trials {bad[:8].tolist()} of {checked} "
-                        f"checked — bit-identity contract broken"
-                    )
-        return flags
-
-    def scalar_flags(self, trials: int, workers: int = 1) -> np.ndarray:
-        """The scalar route on the same chunk-keyed streams (full
-        ``run()`` per trial, re-encoding and all)."""
-        return TrialRunner(base_seed=self.base_seed).run_flags(
-            self.scalar, trials, *self.labels, workers=workers
-        )
-
-    def error_rate(
-        self, trials: int, workers: int = 1, engine_check: float = 0.0
-    ) -> float:
-        """Monte-Carlo error rate over :meth:`run_flags`."""
-        flags = self.run_flags(
-            trials, workers=workers, engine_check=engine_check
-        )
-        return float(flags.sum()) / trials
-
-    def scalar_error_rate(self, trials: int, workers: int = 1) -> float:
-        """Monte-Carlo error rate over :meth:`scalar_flags`."""
-        flags = self.scalar_flags(trials, workers=workers)
-        return float(flags.sum()) / trials

@@ -14,7 +14,7 @@ threshold rule is the better deal (benchmark E3 measures the difference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ from repro.rng import SeedLike, ensure_rng
 from repro.zeroround.decision import AndRule
 from repro.zeroround.network import (
     AndNetworkErrorKernel,
-    NetworkResult,
     ZeroRoundNetwork,
     and_rule_verdicts,
     auto_batch,
@@ -124,26 +123,19 @@ class AndRuleNetworkTester:
         """Monte-Carlo error rate over *trials* network executions.
 
         ``is_uniform`` selects which verdict counts as an error (rejecting
-        uniform vs accepting a far distribution).  Seed-like ``rng`` routes
-        through the batched trial engine (reproducible for any ``batch`` /
-        ``workers``); a ``Generator`` parent falls back to the sequential
-        single-stream path.
+        uniform vs accepting a far distribution).  The seed-like ``rng``
+        (``None`` or an int) keys the batched trial engine, reproducible
+        for any ``batch``/``workers``.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+        from repro.experiments.runner import TrialRunner, seed_of
+
+        base_seed = seed_of(rng, trials)
         p = self.params
         if batch is None:
             batch = auto_batch(p.k * p.m * p.s_per_repetition)
-        if rng is None or isinstance(rng, (int, np.integer)):
-            from repro.experiments.runner import TrialRunner
-
-            kernel = AndNetworkErrorKernel(
-                distribution, p.k, p.m, p.s_per_repetition, is_uniform
-            )
-            est = TrialRunner(base_seed=0 if rng is None else int(rng)).error_rate_batched(
-                kernel, trials, "and_rule", p.k, batch=batch, workers=workers
-            )
-            return est.rate
-        gen = ensure_rng(rng)
-        errors = int((self.test_many(distribution, trials, gen, batch) != is_uniform).sum())
-        return errors / trials
+        kernel = AndNetworkErrorKernel(
+            distribution, p.k, p.m, p.s_per_repetition, is_uniform
+        )
+        return TrialRunner(base_seed=base_seed).error_rate_batched(
+            kernel, trials, "and_rule", p.k, batch=batch, workers=workers
+        ).rate

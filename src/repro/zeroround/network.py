@@ -27,7 +27,7 @@ picklable, they also work on the engine's multi-process path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -470,28 +470,16 @@ def estimate_rejection_probability(
 ) -> float:
     """Monte-Carlo estimate of ``Pr[A_δ rejects]`` on *distribution*.
 
-    Runs the single-collision tester *trials* times in vectorised batches.
-    Seed-like ``rng`` (``None`` or ``int``) routes through the trial engine
-    — chunk-keyed streams, reproducible for any ``batch``/``workers`` — and
-    supports multi-process execution.  A ``Generator`` parent falls back to
-    sequential single-stream batching (legacy behaviour).  Used by the E1
-    benchmark and the empirical sample-complexity search.
+    Runs the single-collision tester *trials* times in vectorised batches
+    on the trial engine, keyed by the seed-like ``rng`` (``None`` or an
+    int) — chunk-keyed streams, reproducible for any ``batch``/``workers``
+    and safe for multi-process execution.  Used by the E1 benchmark and
+    the empirical sample-complexity search.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        from repro.experiments.runner import TrialRunner
+    from repro.experiments.runner import TrialRunner, seed_of
 
-        kernel = CollisionTrialKernel(distribution, s)
-        est = TrialRunner(base_seed=0 if rng is None else int(rng)).error_rate_batched(
-            kernel, trials, "rejection", s, batch=batch, workers=workers
-        )
-        return est.rate
-    gen = ensure_rng(rng)
-    rejected = 0
-    remaining = trials
-    while remaining > 0:
-        chunk = min(batch, remaining)
-        rejected += int(collision_reject_flags(distribution, chunk, s, gen).sum())
-        remaining -= chunk
-    return rejected / trials
+    base_seed = seed_of(rng, trials)
+    kernel = CollisionTrialKernel(distribution, s)
+    return TrialRunner(base_seed=base_seed).error_rate_batched(
+        kernel, trials, "rejection", s, batch=batch, workers=workers
+    ).rate

@@ -116,25 +116,18 @@ class ThresholdNetworkTester:
     ) -> float:
         """Monte-Carlo error rate over *trials* network executions.
 
-        Seed-like ``rng`` routes through the batched trial engine
-        (reproducible for any ``batch``/``workers``); a ``Generator``
-        parent falls back to the sequential single-stream path.
+        The seed-like ``rng`` (``None`` or an int) keys the batched trial
+        engine, reproducible for any ``batch``/``workers``.
         """
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+        from repro.experiments.runner import TrialRunner, seed_of
+
+        base_seed = seed_of(rng, trials)
         p = self.params
         if batch is None:
             batch = auto_batch(p.k * p.s)
-        if rng is None or isinstance(rng, (int, np.integer)):
-            from repro.experiments.runner import TrialRunner
-
-            kernel = ThresholdNetworkErrorKernel(
-                distribution, p.k, p.s, p.threshold, is_uniform
-            )
-            est = TrialRunner(base_seed=0 if rng is None else int(rng)).error_rate_batched(
-                kernel, trials, "threshold_rule", p.k, batch=batch, workers=workers
-            )
-            return est.rate
-        gen = ensure_rng(rng)
-        errors = int((self.test_many(distribution, trials, gen, batch) != is_uniform).sum())
-        return errors / trials
+        kernel = ThresholdNetworkErrorKernel(
+            distribution, p.k, p.s, p.threshold, is_uniform
+        )
+        return TrialRunner(base_seed=base_seed).error_rate_batched(
+            kernel, trials, "threshold_rule", p.k, batch=batch, workers=workers
+        ).rate

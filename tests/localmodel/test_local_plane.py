@@ -185,18 +185,15 @@ class TestLocalTrialRunner:
         assert fast == scalar
 
     def test_generator_rng_keeps_legacy_route(self, tester):
-        """A shared Generator falls back to the sequential loop, and the
-        fast path refuses it (chunk keying needs a seed)."""
+        """Both routes refuse a shared Generator: trials are chunk-keyed
+        by a seed, and a live generator has none."""
         topo = Topology.ring(512)
-        rate = tester.estimate_error(
-            topo, uniform(N), True, 16, 5, rng=np.random.default_rng(3)
-        )
-        assert 0.0 <= rate <= 1.0
-        with pytest.raises(ParameterError, match="seed-like"):
-            tester.estimate_error(
-                topo, uniform(N), True, 16, 5,
-                rng=np.random.default_rng(3), fast_path=True,
-            )
+        for fast_path in (False, True):
+            with pytest.raises(ParameterError, match="seed-like"):
+                tester.estimate_error(
+                    topo, uniform(N), True, 16, 5,
+                    rng=np.random.default_rng(3), fast_path=fast_path,
+                )
 
     def test_engine_check_detects_verdict_divergence(self, tester):
         """A runner with corrupted slot lists must fail the prefix check:

@@ -143,9 +143,10 @@ class TestEstimateError:
             proto.estimate_error(x, y, trials=10, rng=gen, fast_path=True)
 
     def test_generator_rng_takes_legacy_loop(self, proto, inputs):
+        """The scalar route refuses a shared Generator too."""
         x, _ = inputs
         gen = np.random.default_rng(0)
-        err = proto.estimate_error(
-            x, x.copy(), trials=20, rng=gen, fast_path=False
-        )
-        assert err == 0.0  # perfect completeness
+        with pytest.raises(ParameterError, match="seed-like"):
+            proto.estimate_error(
+                x, x.copy(), trials=20, rng=gen, fast_path=False
+            )

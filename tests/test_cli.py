@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
 from repro.cli import main
@@ -227,6 +230,34 @@ class TestOtherCommands:
         # Same seeds, same streams: the measured rates must match exactly.
         assert fast.split("(local plane): ")[1] == \
             engine.split("(scalar tester): ")[1]
+
+    # The E7 ring: choose_radius certifies r=8 on seed 8's MIS, which the
+    # seeds after it cannot support at r=8.
+    _LOCAL_E7 = ["local", "--n", "20000", "--k", "4096", "--eps", "1",
+                 "--p", "0.45", "--topology", "ring", "--trials", "8"]
+
+    def test_local_sweeps_the_certified_plan(self, capsys):
+        code = main(self._LOCAL_E7 + ["--seed", "8"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert re.search(r"radius r\s*\|\s*8\n", out)
+
+    def test_local_builds_one_layout_per_probe(self, capsys, tmp_path):
+        """The printed plan and both sweeps reuse the last probe's layout,
+        and the two sweeps' audits share one engine MIS run."""
+        trace = tmp_path / "local.jsonl"
+        code = main(self._LOCAL_E7 + ["--seed", "0", "--engine-check", "0.25",
+                                      "--trace", str(trace)])
+        out = capsys.readouterr().out
+        assert code == 0
+        radius = int(re.search(r"radius r\s*\|\s*(\d+)", out).group(1))
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        spans = [e for e in spans if e["event"] == "span"]
+        probed = [e["attrs"]["radius"] for e in spans
+                  if e["name"] == "local_plane.layout"]
+        assert probed == [2 ** i for i in range(1, radius.bit_length())]
+        assert sum(e["name"] == "engine.run" for e in spans) == 1
+        assert sum(e["name"] == "local_plane.engine_check" for e in spans) == 2
 
     def test_local_validation_exits_2(self, capsys):
         for extra, needle in (

@@ -70,3 +70,83 @@ class TestMetadata:
                 assert f"repro.{pkg.name}" in paper_map, (
                     f"docs/paper_map.md does not mention repro.{pkg.name}"
                 )
+
+
+def _traced_plane_spans():
+    """Span names of one small traced run of every plane, audit on."""
+    import numpy as np
+
+    from repro import telemetry
+    from repro.congest import CongestUniformityTester, HardenedCongestTester
+    from repro.core.collision import CollisionGapTester
+    from repro.distributions import uniform
+    from repro.experiments import make_topology, robustness_sweep
+    from repro.localmodel import LocalUniformityTester
+    from repro.simulator import Topology
+    from repro.simulator.faults import FaultPlan
+    from repro.smp import (
+        BCGMapping,
+        EqualityProtocol,
+        TesterBasedEqualityProtocol,
+    )
+
+    with telemetry.tracing(telemetry.Tracer()) as tracer:
+        star = make_topology("star", 60)
+        for cls, extra in ((CongestUniformityTester, {}),
+                           (HardenedCongestTester,
+                            {"faults": FaultPlan(seed=7, drop_prob=0.02)})):
+            cls.solve(200, 60, 0.9, 1 / 3, 64).estimate_error(
+                star, uniform(200), True, 4, rng=1, fast_path=True,
+                engine_check=0.5, **extra,
+            )
+        robustness_sweep(200, 60, 0.9, samples_per_node=64, trials=2,
+                         drop_probs=(0.0, 0.05), fast_path=True,
+                         engine_check=0.5)
+        local = LocalUniformityTester(n=2000, eps=1.5, p=0.45)
+        ring = Topology.ring(512)
+        radius = local.choose_radius(ring, rng=1, fast_path=True)
+        local.estimate_error(ring, uniform(2000), True, radius, 8, rng=1,
+                             fast_path=True, engine_check=0.25)
+        torus = EqualityProtocol.build(16, delta=0.05, tau=2.0)
+        mapping = BCGMapping(code=torus.code)
+        bcg = TesterBasedEqualityProtocol(
+            mapping=mapping,
+            tester=CollisionGapTester.from_delta(mapping.domain_size, 0.05),
+        )
+        x = np.zeros(16, dtype=int)
+        for protocol in (torus, bcg):
+            protocol.estimate_error(x, x, 8, rng=1, engine_check=0.5)
+    return {e["name"] for e in tracer.events if e["event"] == "span"}
+
+
+class TestObservabilityDoc:
+    """docs/observability.md must name the routes and spans the code has."""
+
+    DOC = ROOT / "docs" / "observability.md"
+
+    def test_routes_match_telemetry(self):
+        from repro import telemetry
+
+        bullet = re.search(
+            r"^- `route` — one of (.*?)\n- ", self.DOC.read_text(), re.S | re.M
+        )
+        assert bullet, "observability.md lost its route bullet"
+        assert tuple(re.findall(r"`([a-z-]+)`", bullet.group(1))) == (
+            telemetry.ROUTES
+        )
+
+    def test_every_traced_span_documented(self):
+        documented = set()
+        for line in self.DOC.read_text().splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        names = {
+            "engine.phase.<name>" if name.startswith("engine.phase.") else name
+            for name in _traced_plane_spans()
+        }
+        assert {
+            "trial_plane.engine_check", "fault_plane.replay",
+            "robustness.engine_check", "local_plane.engine_check",
+            "smp_plane.engine_check",
+        } <= names
+        assert names - documented == set()
