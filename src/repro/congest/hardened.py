@@ -225,6 +225,10 @@ class HardenedTokenPackagingProgram(NodeProgram):
         self.token_bits = token_bits
         self.schedule = schedule
         self.policy = policy
+        # Constant message sizes, computed once per node.
+        self._id_bits = 2 * bits_for_int(k)
+        self._count_bits = bits_for_int(tau)
+        self._seq_bits = bits_for_int(tau) + 1
         initial = (
             [int(token)] if isinstance(token, int) else [int(t) for t in token]
         )
@@ -283,12 +287,6 @@ class HardenedTokenPackagingProgram(NodeProgram):
                 tag=_FRAME,
             )
         self._out.clear()
-
-    def _id_bits(self) -> int:
-        return 2 * bits_for_int(self.k)
-
-    def _seq_bits(self) -> int:
-        return bits_for_int(self.tau) + 1
 
     @property
     def is_root(self) -> bool:
@@ -354,7 +352,7 @@ class HardenedTokenPackagingProgram(NodeProgram):
             if seq not in seen:
                 seen.add(seq)
                 self.buffer.append(int(token))
-            self._queue(src, _TKA, seq, self._seq_bits())
+            self._queue(src, _TKA, seq, self._seq_bits)
         elif kind == _TKA:
             if self.outstanding is not None and payload == self.outstanding[0]:
                 self.outstanding = None
@@ -372,7 +370,7 @@ class HardenedTokenPackagingProgram(NodeProgram):
 
     def _announce(self, ctx: Context) -> None:
         for u in ctx.neighbors:
-            self._queue(u, _FL, (self.best, self.dist), self._id_bits())
+            self._queue(u, _FL, (self.best, self.dist), self._id_bits)
 
     # -- per-round timers --------------------------------------------------
 
@@ -405,7 +403,7 @@ class HardenedTokenPackagingProgram(NodeProgram):
                     self.count_acked = True
                 else:
                     self._queue(
-                        self.parent, _CT, self.c_value, bits_for_int(self.tau)
+                        self.parent, _CT, self.c_value, self._count_bits
                     )
                     self._count_attempts = 1
                     self._count_last = r
@@ -418,7 +416,7 @@ class HardenedTokenPackagingProgram(NodeProgram):
         ):
             if self._count_attempts < p.attempts:
                 self._queue(
-                    self.parent, _CT, self.c_value, bits_for_int(self.tau)
+                    self.parent, _CT, self.c_value, self._count_bits
                 )
                 self._count_attempts += 1
                 self._count_last = r
@@ -441,7 +439,7 @@ class HardenedTokenPackagingProgram(NodeProgram):
                     self.parent,
                     _TK,
                     (seq, token),
-                    self.token_bits + self._seq_bits(),
+                    self.token_bits + self._seq_bits,
                 )
                 self._tok_attempts += 1
                 self._tok_last = r
@@ -467,7 +465,7 @@ class HardenedTokenPackagingProgram(NodeProgram):
                 self.parent,
                 _TK,
                 (self.out_seq, token),
-                self.token_bits + self._seq_bits(),
+                self.token_bits + self._seq_bits,
             )
             self._tok_attempts = 1
             self._tok_last = r
@@ -605,6 +603,7 @@ class HardenedCongestTesterProgram(HardenedTokenPackagingProgram):
             policy=policy,
         )
         self.params = params
+        self._vote_bits = 2 * bits_for_int(k)
         self.my_alarms = 0
         self.my_packages = 0
         # Realised-layout instrumentation, read by the trial plane's
@@ -667,9 +666,6 @@ class HardenedCongestTesterProgram(HardenedTokenPackagingProgram):
                 self.my_alarms += 1
         # Vote phase proceeds from _tick; nothing to send yet this round.
 
-    def _vote_bits(self) -> int:
-        return 2 * bits_for_int(self.k)
-
     def _decide_root(self) -> None:
         """Root verdict from the realised evidence (missing subtrees have
         already been excluded from both totals)."""
@@ -715,7 +711,7 @@ class HardenedCongestTesterProgram(HardenedTokenPackagingProgram):
                         self.parent,
                         _VT,
                         (self.vote_alarms, self.vote_packages),
-                        self._vote_bits(),
+                        self._vote_bits,
                     )
                     self._vote_attempts = 1
                     self._vote_last = r
@@ -730,7 +726,7 @@ class HardenedCongestTesterProgram(HardenedTokenPackagingProgram):
                     self.parent,
                     _VT,
                     (self.vote_alarms, self.vote_packages),
-                    self._vote_bits(),
+                    self._vote_bits,
                 )
                 self._vote_attempts += 1
                 self._vote_last = r

@@ -248,6 +248,7 @@ class CongestTesterProgram(TokenPackagingProgram):
             warm_start=warm_start,
         )
         self.params = params
+        self._vote_bits = 2 * bits_for_int(k)
         self.my_alarms = 0
         self.my_packages = 0
         self.vote_pending: set = set()
@@ -270,16 +271,13 @@ class CongestTesterProgram(TokenPackagingProgram):
         if not self.vote_pending:
             self._send_vote(ctx)
 
-    def _vote_bits(self) -> int:
-        return 2 * bits_for_int(self.k)
-
     def _send_vote(self, ctx: Context) -> None:
         self.vote_sent = True
         if self.parent is not None:
             ctx.send(
                 self.parent,
                 (self.vote_alarms, self.vote_packages),
-                bits=self._vote_bits(),
+                bits=self._vote_bits,
                 tag=_VOTE,
             )
         else:

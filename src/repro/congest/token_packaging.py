@@ -156,6 +156,9 @@ class TokenPackagingProgram(NodeProgram):
         self.k = k
         self.tau = tau
         self.token_bits = token_bits
+        # Constant message sizes, computed once per node.
+        self._id_bits = 2 * bits_for_int(k)
+        self._count_bits = bits_for_int(tau)
         initial = [int(token)] if isinstance(token, (int,)) else [int(t) for t in token]
         if not initial:
             raise ParameterError("every node needs at least one token")
@@ -185,11 +188,8 @@ class TokenPackagingProgram(NodeProgram):
 
     # -- phase 1: flooding ------------------------------------------------
 
-    def _id_bits(self) -> int:
-        return 2 * bits_for_int(self.k)
-
     def _announce(self, ctx: Context) -> None:
-        ctx.broadcast((self.best, self.dist), bits=self._id_bits(), tag=_FLOOD)
+        ctx.broadcast((self.best, self.dist), bits=self._id_bits, tag=_FLOOD)
 
     def on_start(self, ctx: Context) -> None:
         if self._warm_start is not None:
@@ -258,7 +258,7 @@ class TokenPackagingProgram(NodeProgram):
             ctx.send(
                 self.parent,
                 self.c_value,
-                bits=bits_for_int(self.tau),
+                bits=self._count_bits,
                 tag=_COUNT,
             )
 

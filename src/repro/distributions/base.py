@@ -44,6 +44,10 @@ _SUM_ATOL = 1e-9
 #: Driver draws mapped per lookup pass; bounds the lookup's temporaries.
 _LOOKUP_BLOCK = 1 << 16
 
+#: Largest probe the branch-free loop runs with (a power of two).  Draws
+#: in guide brackets wider than the loop reaches are bisected instead.
+_MAX_PROBE = 2
+
 
 class _QuantileTable(NamedTuple):
     """Cached inverse-CDF lookup over the CDF's strict steps.
@@ -51,7 +55,9 @@ class _QuantileTable(NamedTuple):
     ``edges`` holds the normalised CDF at the positions ``outcomes`` where
     it strictly increases, padded with ``2.0`` sentinels; ``guide[b]``
     counts the edges ``<= b / buckets``; ``probe`` is the largest power of
-    two not above the widest guide bracket.  ``outcomes`` is ``None`` when
+    two not above the widest guide bracket, capped at ``_MAX_PROBE``.
+    ``wide`` flags the buckets whose bracket is wider than that probe
+    reaches (``None`` when there are none).  ``outcomes`` is ``None`` when
     every entry is a step.  ``widest`` is the largest CDF step.
     """
 
@@ -59,15 +65,22 @@ class _QuantileTable(NamedTuple):
     buckets: int
     guide: np.ndarray
     probe: int
+    wide: Optional[np.ndarray]
     outcomes: Optional[np.ndarray]
     widest: float
 
     def lookup(self, u: np.ndarray) -> np.ndarray:
         """``searchsorted(cdf, u, side="right")`` for one block of draws.
 
-        A draw's answer lies at most ``2 * probe - 1`` edges past the start
-        of its guide bracket, so probes of ``probe, probe / 2, ..., 1``
-        edges reach it; the sentinels keep every probe in bounds.
+        Outside the ``wide`` buckets a draw's answer lies at most
+        ``2 * probe - 1`` edges past the start of its guide bracket, so
+        probes of ``probe, probe / 2, ..., 1`` edges reach it; the
+        sentinels keep every probe in bounds.  Draws in ``wide`` buckets
+        are bisected over all edges.  A wide bucket holds at least four
+        edges and there are at least four buckets per edge, so at most
+        1/16 of the buckets, and of the draws, take that path: a CDF
+        whose steps cluster costs a few passes, not one pass per halving
+        of the cluster.
         """
         pos = self.guide[(u * self.buckets).astype(np.int64)]
         step = self.probe
@@ -75,6 +88,11 @@ class _QuantileTable(NamedTuple):
             pos += (self.edges[pos + (step - 1)] <= u) * step
             step >>= 1
         pos += self.edges[pos] <= u
+        if self.wide is not None:
+            far = self.wide[(u * self.buckets).astype(np.int64)]
+            if far.any():
+                pos = np.asarray(pos)
+                pos[far] = self.edges.searchsorted(u[far], side="right")
         return pos if self.outcomes is None else self.outcomes[pos]
 
 
@@ -266,11 +284,16 @@ class DiscreteDistribution:
             buckets = 1 << max(1, int(np.ceil(np.log2(4.0 * edges.size))))
             guide = edges.searchsorted(np.arange(buckets + 1) / buckets, side="right")
             probe = 1 << (int(np.diff(guide).max()).bit_length() - 1)
+            wide = None
+            if probe > _MAX_PROBE:
+                probe = _MAX_PROBE
+                wide = np.diff(guide) > 2 * probe - 1
+                wide.setflags(write=False)
             edges = np.concatenate([edges, np.full(2 * probe - 1, 2.0)])
             for arr in (edges, guide, outcomes):
                 arr.setflags(write=False)
             self._cached_quantiles = _QuantileTable(
-                edges, buckets, guide, probe,
+                edges, buckets, guide, probe, wide,
                 None if outcomes.size == cdf.size else outcomes,
                 float(steps.max()),
             )
@@ -299,10 +322,10 @@ class DiscreteDistribution:
         Computes exactly ``searchsorted(cdf, u, side="right")`` — the
         mapping inside ``Generator.choice`` — through the same cached
         lookup :meth:`sample` uses: each draw's guide bucket narrows the
-        answer to a bracket of CDF steps, finished off by a fixed number
-        of branch-free probes (one for near-uniform distributions, the
-        ``log`` of the widest bracket in the worst case).  The output has
-        the shape of *u*.
+        answer to a bracket of CDF steps, finished off by at most two
+        branch-free probes (one for near-uniform distributions); the few
+        draws whose bracket is wider than that are bisected.  The output
+        has the shape of *u*.
         """
         u = np.asarray(u, dtype=np.float64)
         if u.size and (float(u.min()) < 0.0 or float(u.max()) >= 1.0):

@@ -5,36 +5,50 @@ Executes a :class:`~repro.simulator.node.NodeProgram` per node over a
 
 1. deliver the messages sent last round,
 2. invoke every non-halted node's ``on_round``,
-3. collect and validate the new outgoing messages.
+3. check the new outgoing messages against the CONGEST limits.
 
 **CONGEST enforcement**: with a finite ``bandwidth_bits``, the engine
 rejects (raises, not truncates) any message over budget, and also rejects
 two messages from the same node along the same edge in one round — the
-model allows one message per directed edge per round.
+model allows one message per directed edge per round.  The check runs
+once per round, after every ``on_round`` call, as C-level passes over
+the round's messages; only a failing round is rescanned message by
+message, so the error names the first offender in node order.
 
 The engine's :class:`EngineReport` carries the measured quantities the
 benchmarks compare with the theorems: total rounds, message count, total
 bits, and the maximum bits ever sent over a single edge in a round.
 
-The inner loop is written for throughput: per-node inboxes are
-preallocated once and recycled across rounds (no per-round dict churn),
-the live-node ordering is maintained incrementally instead of re-sorted
-every round, and per-round message/bit totals are computed once during
-delivery and shared between the report totals and the optional trace.
+The inner loop is written for throughput, since its cost is paid once per
+message: :meth:`Context.send` builds each message tuple directly and
+``broadcast`` validates once per call; every node of a run appends to one
+shared outbox, so a round's messages arrive grouped by sender with no
+per-node drain; per-node inboxes are preallocated once and recycled; the
+live-node ordering is maintained incrementally instead of re-sorted every
+round; and per-round message/bit totals are ``sum``/``max`` reductions
+shared between the report totals and the optional trace.
 
 **Fault injection**: an optional :class:`~repro.simulator.faults.FaultPlan`
 is applied at delivery time — per-edge message drops, fixed delay
 distributions, and crash-stop schedules — with drop/delay/crash counts
 surfaced in the report.  The plan draws from its own stream keyed by
-``(seed, edge, round)``, so a run with ``FaultPlan.none()`` (or no plan)
-is bit-identical to the fault-free engine.
+``(seed, edge, round, index)``; the engine draws a whole round's drops
+and delays as arrays (:meth:`FaultPlan.drop_flags`,
+:meth:`FaultPlan.delay_rounds_array`), element for element the scalar
+:meth:`FaultPlan.should_drop` / :meth:`FaultPlan.delay_rounds` values.
+A run with ``FaultPlan.none()`` (or no plan) is bit-identical to the
+fault-free engine.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from itertools import compress, islice, repeat
+from operator import add, eq, itemgetter, mul
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.exceptions import BandwidthExceededError, SimulationError
@@ -51,6 +65,12 @@ from repro.simulator.node import Context, NodeProgram
 #: token-forwarding phase, quiet for up to ``τ`` rounds) pass a larger
 #: ``deadlock_quiet_rounds`` to the engine constructor.
 DEFAULT_DEADLOCK_QUIET_ROUNDS = 3
+
+# Message field getters (Message is a tuple: src, dst, payload, bits, tag),
+# so per-round reductions run as C-level map/sum/max/sorted passes.
+_SRC = itemgetter(0)
+_DST = itemgetter(1)
+_BITS = itemgetter(3)
 
 
 @dataclass(frozen=True)
@@ -291,6 +311,11 @@ class SynchronousEngine:
             )
             for v in range(k)
         ]
+        # One outbox shared by every node: nodes run in ascending order, so
+        # a round's messages land here grouped by sender, in send order.
+        outbox: List[Message] = []
+        for ctx in contexts:
+            ctx._outbox = outbox
 
         alive = [True] * k
         live_count = k
@@ -315,6 +340,8 @@ class SynchronousEngine:
             faults.crash_schedule() if faults is not None else {}
         )
         crashed = [False] * k
+        # Array mirror of `crashed`, read by the per-round fault draws.
+        crashed_mask = np.zeros(k, dtype=bool)
         delayed: Dict[int, List[Message]] = {}
         drops = 0
         delays = 0
@@ -323,6 +350,7 @@ class SynchronousEngine:
             # Crash-stop at round 0: the node never even starts.
             alive[v] = False
             crashed[v] = True
+            crashed_mask[v] = True
             live_count -= 1
             live_stale = True
             crashes += 1
@@ -340,14 +368,13 @@ class SynchronousEngine:
                 wake_round[v] = ctx._wake_at
                 appended_for[v] = ctx._wake_at
                 pending_wakes.setdefault(ctx._wake_at, []).append(v)
-        in_flight = self._collect(
-            contexts, (v for v in range(k) if not crashed[v])
-        )
+        self._check_congest(outbox)
 
-        # Recycled per-node inboxes: `touched` lists the nodes whose inbox
-        # is non-empty this round (appended exactly once, on first message).
+        # Recycled per-node inboxes: `touched` is the set of nodes whose
+        # inbox is non-empty this round.
         inboxes: List[List[Message]] = [[] for _ in range(k)]
-        touched: List[int] = []
+        touched: Set[int] = set()
+        alive_at = alive.__getitem__
 
         rounds = 0
         messages = 0
@@ -361,7 +388,7 @@ class SynchronousEngine:
         phase_clock = time.perf_counter() if phase_rows is not None else 0.0
 
         while rounds < max_rounds:
-            if live_count == 0 and not in_flight and not delayed:
+            if live_count == 0 and not outbox and not delayed:
                 return EngineReport(
                     rounds=rounds,
                     messages=messages,
@@ -379,7 +406,7 @@ class SynchronousEngine:
             round_delays = 0
             round_crashes = 0
             if faults is None:
-                deliver = in_flight
+                deliver = outbox
             else:
                 # Crash-stop before delivery: a node dying at round r
                 # neither receives nor acts at r, but its own messages
@@ -388,51 +415,34 @@ class SynchronousEngine:
                     if alive[v]:
                         alive[v] = False
                         crashed[v] = True
+                        crashed_mask[v] = True
                         live_count -= 1
                         live_stale = True
                         wake_round[v] = None
                         round_crashes += 1
                 crashes += round_crashes
                 deliver = delayed.pop(rounds, [])
-                if in_flight:
-                    # Occurrence index per directed edge keeps the fault
-                    # draw well-defined for multi-message LOCAL edges.
-                    edge_seen: Dict[Any, int] = {}
-                    for msg in in_flight:
-                        src, dst = msg[0], msg[1]
-                        key = (src, dst)
-                        idx = edge_seen.get(key, 0)
-                        edge_seen[key] = idx + 1
-                        if crashed[dst] or faults.should_drop(
-                            src, dst, rounds, idx
-                        ):
-                            round_drops += 1
-                            continue
-                        extra = faults.delay_rounds(src, dst, rounds, idx)
-                        if extra > 0:
-                            delayed.setdefault(rounds + extra, []).append(msg)
-                            round_delays += 1
-                        else:
-                            deliver.append(msg)
-                drops += round_drops
-                delays += round_delays
+                if outbox:
+                    round_drops, round_delays = _apply_faults(
+                        faults, outbox, rounds, k, crashed_mask, deliver, delayed
+                    )
+                    drops += round_drops
+                    delays += round_delays
             round_messages = len(deliver)
             round_bits = 0
             if round_messages:
+                round_bits = sum(map(_BITS, deliver))
+                peak = max(map(_BITS, deliver))
+                if peak > max_edge_bits:
+                    max_edge_bits = peak
+                touched = set(map(_DST, deliver))
                 for msg in deliver:
-                    # Tuple indexing: msg[1] is .dst, msg[3] is .bits.
-                    box = inboxes[msg[1]]
-                    if not box:
-                        touched.append(msg[1])
-                    box.append(msg)
-                    bits = msg[3]
-                    round_bits += bits
-                    if bits > max_edge_bits:
-                        max_edge_bits = bits
+                    inboxes[msg[1]].append(msg)
                 messages += round_messages
                 total_bits += round_bits
                 quiet_streak = 0
             else:
+                touched = set()
                 quiet_streak += 1
                 if quiet_streak >= deadlock_limit and not delayed:
                     # Sleeping toward a scheduled wakeup is legal silence,
@@ -452,6 +462,9 @@ class SynchronousEngine:
                             f"nodes {sample}{'...' if len(live_nodes) > 8 else ''} "
                             f"at round {rounds}"
                         )
+            # Last round's mail is routed (or dropped/deferred); the shared
+            # outbox now collects this round's sends.
+            outbox.clear()
             # Scheduling contract: a node runs when it has mail, after a
             # globally quiet round (phase transitions), or at a wakeup it
             # requested.  Anything else would be a spurious no-op call.
@@ -471,12 +484,9 @@ class SynchronousEngine:
                     live_stale = False
                 active = live_order
             elif due:
-                due_set = set(touched)
-                due_set.update(due)
-                active = sorted(v for v in due_set if alive[v])
+                active = sorted(filter(alive_at, touched.union(due)))
             else:
-                # `touched` holds unique dst IDs in delivery order.
-                active = sorted(v for v in touched if alive[v])
+                active = sorted(filter(alive_at, touched))
             for v in active:
                 ctx = contexts[v]
                 # Clear-and-rearm: any run consumes the node's pending
@@ -518,10 +528,9 @@ class SynchronousEngine:
                     now - phase_clock,
                 ))
                 phase_clock = now
-            in_flight = self._collect(contexts, active)
+            self._check_congest(outbox)
             for v in touched:
                 inboxes[v].clear()
-            touched.clear()
 
         return EngineReport(
             rounds=rounds,
@@ -538,32 +547,84 @@ class SynchronousEngine:
             crashes=crashes,
         )
 
-    def _collect(
-        self, contexts: List[Context], order: Iterable[int]
-    ) -> List[Message]:
-        """Drain the outboxes of nodes in *order*, enforcing CONGEST limits."""
-        out: List[Message] = []
+    def _check_congest(self, sent: List[Message]) -> None:
+        """Enforce the CONGEST limits on one round's messages.
+
+        C-level passes over the whole round decide the common case: the
+        largest declared size against the budget, then the sorted edge
+        keys for an adjacent repeat.  An edge is keyed by the int
+        ``src·k + dst`` rather than a ``(src, dst)`` tuple: a round's
+        worth of live tuples would each count toward the garbage
+        collector's allocation threshold and trigger extra collections.
+        A sorted list rather than a set: a set of a large round's keys
+        is a table big enough for glibc to ``mmap``, and freeing one
+        every round raises the allocator's trim threshold and so the
+        process's peak RSS; the list is no larger than the round's
+        message list.  Only a failing round is rescanned message by
+        message in send order, so the error names the same first
+        offender as a per-sender check would.
+        """
         bandwidth = self.bandwidth_bits
-        for v in order:
-            ctx = contexts[v]
-            outbox = ctx._outbox
-            if not outbox:
-                continue
-            if bandwidth is not None:
-                seen_edges = set()
-                for msg in outbox:
-                    if msg.bits > bandwidth:
-                        raise BandwidthExceededError(
-                            f"node {msg.src} sent {msg.bits} bits to "
-                            f"{msg.dst} (budget {bandwidth}) "
-                            f"[tag={msg.tag!r}]"
-                        )
-                    if msg.dst in seen_edges:
-                        raise BandwidthExceededError(
-                            f"node {msg.src} sent two messages to {msg.dst} "
-                            f"in one round [tag={msg.tag!r}]"
-                        )
-                    seen_edges.add(msg.dst)
-            out.extend(outbox)
-            ctx._outbox = []
-        return out
+        if bandwidth is None or not sent:
+            return
+        if max(map(_BITS, sent)) <= bandwidth:
+            edges = sorted(map(
+                add, map(mul, map(_SRC, sent), repeat(self.topology.k)), map(_DST, sent)
+            ))
+            if not any(map(eq, edges, islice(edges, 1, None))):
+                return
+        seen_edges = set()
+        for msg in sent:
+            if msg.bits > bandwidth:
+                raise BandwidthExceededError(
+                    f"node {msg.src} sent {msg.bits} bits to "
+                    f"{msg.dst} (budget {bandwidth}) "
+                    f"[tag={msg.tag!r}]"
+                )
+            edge = (msg.src, msg.dst)
+            if edge in seen_edges:
+                raise BandwidthExceededError(
+                    f"node {msg.src} sent two messages to {msg.dst} "
+                    f"in one round [tag={msg.tag!r}]"
+                )
+            seen_edges.add(edge)
+
+
+def _apply_faults(
+    faults: FaultPlan,
+    sent: List[Message],
+    round_: int,
+    k: int,
+    crashed_mask: np.ndarray,
+    deliver: List[Message],
+    delayed: Dict[int, List[Message]],
+) -> Tuple[int, int]:
+    """Apply the fault plan to one round's mail; returns (drops, delays).
+
+    Every message's drop and delay draw comes from one array call each,
+    keyed by ``(seed, edge, round, index)`` exactly like the scalar
+    :meth:`FaultPlan.should_drop` / :meth:`FaultPlan.delay_rounds`.
+    ``index`` is the message's occurrence number on its directed edge
+    this round (a LOCAL node may send several): its rank within its run
+    after a stable sort by edge.  On-time messages are appended to
+    *deliver* and late ones to *delayed*, both in send order.
+    """
+    m = len(sent)
+    src = np.fromiter(map(_SRC, sent), dtype=np.int64, count=m)
+    dst = np.fromiter(map(_DST, sent), dtype=np.int64, count=m)
+    edge = src * k + dst
+    order = np.argsort(edge, kind="stable")
+    run_head = np.ones(m, dtype=bool)
+    np.not_equal(edge[order[1:]], edge[order[:-1]], out=run_head[1:])
+    pos = np.arange(m)
+    index = np.empty(m, dtype=np.int64)
+    index[order] = pos - np.maximum.accumulate(np.where(run_head, pos, 0))
+    # A message to a crashed node is lost without consulting its draw.
+    dropped = crashed_mask[dst] | faults.drop_flags(src, dst, round_, index)
+    extra = faults.delay_rounds_array(src, dst, round_, index)
+    extra[dropped] = 0
+    late = np.flatnonzero(extra)
+    deliver.extend(compress(sent, (~dropped & (extra == 0)).tolist()))
+    for i, wait in zip(late.tolist(), extra[late].tolist()):
+        delayed.setdefault(round_ + wait, []).append(sent[i])
+    return int(np.count_nonzero(dropped)), len(late)

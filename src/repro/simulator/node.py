@@ -23,8 +23,12 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import SimulationError
+from repro.exceptions import ParameterError, SimulationError
 from repro.simulator.message import Message
+
+# Builds a Message from its field tuple without the keyword-argument
+# ``Message.__new__``; the caller has already checked ``bits >= 0``.
+_new_message = tuple.__new__
 
 
 class Context:
@@ -34,6 +38,11 @@ class Context:
     Inbox lists passed to ``on_round`` are engine-owned scratch buffers,
     valid only for the duration of that call — programs must copy any
     messages they want to keep.
+
+    A standalone context owns its outbox.  The engine points every
+    context of a run at one shared outbox instead: nodes run in order, so
+    the round's messages collect there already grouped by sender, in the
+    order the per-node drain would produce.
     """
 
     __slots__ = (
@@ -96,8 +105,10 @@ class Context:
             raise SimulationError(
                 f"node {self.node_id} tried to message non-neighbour {to}"
             )
+        if bits < 0:
+            raise ParameterError(f"message bits must be >= 0, got {bits}")
         self._outbox.append(
-            Message(src=self.node_id, dst=to, payload=payload, bits=bits, tag=tag)
+            _new_message(Message, (self.node_id, to, payload, bits, tag))
         )
 
     def request_wakeup(self, round_number: int) -> None:
@@ -120,9 +131,24 @@ class Context:
             self._wake_at = round_number
 
     def broadcast(self, payload: Any, bits: int, tag: str = "") -> None:
-        """Send the same message to every neighbour (one per edge)."""
-        for u in self.neighbors:
-            self.send(u, payload, bits, tag)
+        """Send the same message to every neighbour (one per edge).
+
+        Checked once per call rather than once per neighbour; a node with
+        no neighbours sends nothing and so raises nothing.
+        """
+        neighbors = self.neighbors
+        if not neighbors:
+            return
+        if self._halted:
+            raise SimulationError(f"node {self.node_id} sent after halting")
+        if bits < 0:
+            raise ParameterError(f"message bits must be >= 0, got {bits}")
+        src = self.node_id
+        # A plain loop: cheaper than a list comprehension plus extend for
+        # the handful of neighbours a node typically has.
+        outbox = self._outbox
+        for u in neighbors:
+            outbox.append(_new_message(Message, (src, u, payload, bits, tag)))
 
     def halt(self, output: Any = None) -> None:
         """Mark this node finished; ``output`` becomes its final output."""

@@ -34,15 +34,13 @@ class FloodMaxProgram(NodeProgram):
     def __init__(self, node_id: int, k: int) -> None:
         self.node_id = node_id
         self.k = k
+        self._bits = 2 * bits_for_int(k)
         self.best = node_id
         self.dist = 0
         self.parent: Optional[int] = None
 
-    def _bits(self) -> int:
-        return 2 * bits_for_int(self.k)
-
     def _announce(self, ctx: Context) -> None:
-        ctx.broadcast((self.best, self.dist), bits=self._bits(), tag="flood")
+        ctx.broadcast((self.best, self.dist), bits=self._bits, tag="flood")
 
     def on_start(self, ctx: Context) -> None:
         self._announce(ctx)
@@ -89,13 +87,14 @@ class ConvergecastSumProgram(NodeProgram):
         self.waiting = set(children)
         self.acc = int(value)
         self.max_total = max_total
+        self._bits = bits_for_int(max_total)
 
     def _finish(self, ctx: Context) -> None:
         if self.parent is not None:
             ctx.send(
                 self.parent,
                 self.acc,
-                bits=bits_for_int(self.max_total),
+                bits=self._bits,
                 tag="converge",
             )
         ctx.halt(self.acc)

@@ -217,6 +217,11 @@ class TestSamplePinnedToChoice:
         # 1e-20 and 5e-324 sit below the CDF's ulp: no step, never drawn.
         "sub_ulp": DiscreteDistribution([0.5, 1e-20, 0.25, 5e-324, 0.25]),
         "single": DiscreteDistribution([1.0]),
+        # Mass 1 - 1e-9 on outcome 0, the rest spread over 49 999 outcomes:
+        # their steps cluster in a handful of guide buckets.
+        "clustered": DiscreteDistribution(
+            np.concatenate([[1.0 - 1e-9], np.full(49_999, 1e-9 / 49_999)])
+        ),
     }
 
     _SIZES = [
@@ -242,6 +247,18 @@ class TestSamplePinnedToChoice:
             [0.0, np.nextafter(1.0, 0.0)],
         ])
         u = u[(u >= 0.0) & (u < 1.0)]
+        np.testing.assert_array_equal(
+            d.index_quantiles(u), cdf.searchsorted(u, side="right")
+        )
+
+    def test_clustered_steps_are_bisected(self):
+        """Draws inside the cluster of tiny steps (which a seeded stream
+        almost never reaches) bisect their bucket to the same answer."""
+        d = self._CASES["clustered"]
+        assert d._quantile_table().wide is not None
+        cdf = d.probs.cumsum()
+        cdf /= cdf[-1]
+        u = np.sort(1.0 - np.random.default_rng(3).random(20_000) * 2e-9)
         np.testing.assert_array_equal(
             d.index_quantiles(u), cdf.searchsorted(u, side="right")
         )

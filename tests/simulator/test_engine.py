@@ -6,7 +6,7 @@ from typing import List
 
 import pytest
 
-from repro.exceptions import BandwidthExceededError, SimulationError
+from repro.exceptions import BandwidthExceededError, ParameterError, SimulationError
 from repro.simulator import Message, SynchronousEngine, Topology
 from repro.simulator.node import Context, NodeProgram
 
@@ -340,3 +340,129 @@ class TestContextGuards:
 
         with pytest.raises(SimulationError, match="halting"):
             SynchronousEngine(topo).run(lambda v: HaltThenSend(v), rng=0)
+
+
+class Scripted(NodeProgram):
+    """Runs ``script(ctx)`` once, at the round named for its node."""
+
+    def __init__(self, node_id, when, script):
+        self.node_id = node_id
+        self.when = when
+        self.script = script
+
+    def _act(self, ctx):
+        if ctx.round == self.when.get(self.node_id, -1):
+            self.script(ctx)
+        ctx.request_wakeup(ctx.round + 1)
+
+    def on_start(self, ctx):
+        self._act(ctx)
+
+    def on_round(self, ctx, inbox):
+        if ctx.round >= 3:
+            ctx.halt()
+        else:
+            self._act(ctx)
+
+
+def _run_scripted(topo, when, script, bandwidth_bits=16):
+    engine = SynchronousEngine(topo, bandwidth_bits=bandwidth_bits)
+    return engine.run(lambda v: Scripted(v, when, script), rng=0)
+
+
+class TestFastPathErrors:
+    """The engine checks CONGEST limits once per round; the errors keep
+    the per-sender texts and name the first offender in node order."""
+
+    @pytest.mark.parametrize("round_", [0, 2])
+    @pytest.mark.parametrize("how", ["send", "broadcast"])
+    def test_over_budget_text(self, how, round_):
+        def script(ctx):
+            if how == "send":
+                ctx.send(ctx.neighbors[0], "big", bits=17, tag="big")
+            else:
+                ctx.broadcast("big", bits=17, tag="big")
+
+        with pytest.raises(BandwidthExceededError) as err:
+            _run_scripted(Topology.star(4), {2: round_, 3: round_}, script)
+        assert str(err.value) == "node 2 sent 17 bits to 0 (budget 16) [tag='big']"
+
+    @pytest.mark.parametrize("round_", [0, 2])
+    def test_send_after_broadcast_names_first_offender(self, round_):
+        def script(ctx):
+            ctx.broadcast("b", bits=3, tag="b")
+            ctx.send(ctx.neighbors[-1], "s", bits=3, tag="s")
+
+        with pytest.raises(BandwidthExceededError) as err:
+            _run_scripted(Topology.line(4), {1: round_, 2: round_}, script)
+        assert str(err.value) == "node 1 sent two messages to 2 in one round [tag='s']"
+
+    @pytest.mark.parametrize(
+        "doubler, text",
+        [
+            (1, "node 1 sent two messages to 0 in one round [tag='b']"),
+            (2, "node 1 sent 99 bits to 0 (budget 16) [tag='c']"),
+        ],
+    )
+    def test_first_offender_wins_across_kinds(self, doubler, text):
+        """Nodes 1 and 2 both offend, one with a duplicate edge and one
+        with an over-budget message: node 1's violation is reported."""
+
+        def script(ctx):
+            if ctx.node_id == doubler:
+                ctx.send(ctx.neighbors[0], 1, bits=1, tag="a")
+                ctx.send(ctx.neighbors[0], 2, bits=1, tag="b")
+            else:
+                ctx.send(ctx.neighbors[0], 3, bits=99, tag="c")
+
+        with pytest.raises(BandwidthExceededError) as err:
+            _run_scripted(Topology.line(4), {1: 1, 2: 1}, script)
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("how", ["send", "broadcast"])
+    def test_send_errors_surface_through_the_engine(self, how):
+        def after_halt(ctx):
+            ctx.halt()
+            if how == "send":
+                ctx.send(ctx.neighbors[0], "x", bits=1)
+            else:
+                ctx.broadcast("x", bits=1)
+
+        with pytest.raises(SimulationError, match="^node 1 sent after halting$"):
+            _run_scripted(Topology.line(3), {1: 1}, after_halt)
+
+        def negative(ctx):
+            if how == "send":
+                ctx.send(ctx.neighbors[0], "x", bits=-2)
+            else:
+                ctx.broadcast("x", bits=-2)
+
+        with pytest.raises(ParameterError, match="^message bits must be >= 0, got -2$"):
+            _run_scripted(Topology.line(3), {1: 1}, negative)
+
+    def test_non_neighbour_through_the_engine(self):
+        def script(ctx):
+            ctx.send(ctx.node_id + 2, "x", bits=1)
+
+        with pytest.raises(
+            SimulationError, match="^node 0 tried to message non-neighbour 2$"
+        ):
+            _run_scripted(Topology.line(3), {0: 2}, script)
+
+    def test_halted_isolated_node_broadcast_is_silent(self):
+        class IsolatedHalt(NodeProgram):
+            def __init__(self, node_id):
+                self.node_id = node_id
+
+            def on_start(self, ctx):
+                ctx.halt("done")
+                ctx.broadcast("x", bits=1)
+
+            def on_round(self, ctx, inbox):  # pragma: no cover - halted
+                pass
+
+        report = SynchronousEngine(Topology.from_edges(1, []), bandwidth_bits=8).run(
+            lambda v: IsolatedHalt(v), rng=0
+        )
+        assert report.halted and report.messages == 0
+        assert report.outputs == ["done"]
