@@ -160,8 +160,7 @@ def has_collision(samples: np.ndarray) -> bool:
     ``O(s)`` expected, allocation-light, and up to ~3× faster than any
     vectorised route at tiny ``s``.  Larger batches use a sort+diff scan,
     which beats the previous ``np.unique`` implementation ~2× by skipping
-    the unique-value extraction it never needed.  ``tools/bench_perf.py``
-    micro-benchmarks both paths.
+    the unique-value extraction it never needed.
     """
     arr = np.asarray(samples)
     size = arr.size

@@ -10,8 +10,8 @@ The public surface instrumented code uses::
 
 When no tracer is active (the default), :func:`span` returns a shared
 no-op and the instrumentation costs one function call per phase — the
-tracing-off path is bit-identical to uninstrumented code and gated
-against the bench noise floor by ``tools/bench_compare.py``.
+tracing-off path is bit-identical to uninstrumented code, and
+``perfbench/figures.py`` measures what tracing adds to a whole call.
 
 Activate with :func:`activate`/:class:`tracing` (the CLI's ``--trace
 PATH`` does this), read traces back with
@@ -45,7 +45,6 @@ from repro.telemetry.report import (
     load_trace,
     phase_totals,
     render_report,
-    span_seconds_fields,
 )
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "record_span",
     "render_report",
     "span",
-    "span_seconds_fields",
     "tracing",
     "validate_manifest",
 ]

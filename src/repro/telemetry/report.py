@@ -165,24 +165,6 @@ def phase_totals(trace: Trace) -> Dict[str, Dict[str, float]]:
     return totals
 
 
-def span_seconds_fields(events: List[Dict[str, Any]]) -> Dict[str, float]:
-    """Aggregate raw span events into bench-payload ``*_seconds`` fields.
-
-    Takes a tracer's in-memory event list (:attr:`Tracer.events`) and
-    sums wall time by span name, flattening dots to underscores and
-    appending ``_seconds`` — the field shape ``tools/bench_compare.py``
-    collects.  The bench scripts embed this as each payload's
-    ``trace_phases`` block.
-    """
-    totals: Dict[str, float] = {}
-    for event in events:
-        if event.get("event") != "span":
-            continue
-        key = str(event["name"]).replace(".", "_") + "_seconds"
-        totals[key] = totals.get(key, 0.0) + float(event["seconds"])
-    return totals
-
-
 def counter_totals(trace: Trace) -> Dict[str, float]:
     """Sum every counter across all spans, keyed ``span_name.counter``."""
     totals: Dict[str, float] = {}

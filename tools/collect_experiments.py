@@ -82,9 +82,10 @@ SECTIONS = [
         "the engine).  The LOCAL-model sweeps (E7) have the same split "
         "since E16: `repro.localmodel.local_plane` replays the Luby-MIS "
         "layout and batches the AND-rule verdicts, bit-identical per seed "
-        "to the scalar Section 6 tester.  `tools/bench_protocol.py` "
-        "re-checks all routes' equivalence on every run, writing "
-        "`BENCH_protocol.json`.",
+        "to the scalar Section 6 tester.  Tier-1 tests pin every route's "
+        "equivalence (`tests/congest/test_warm_start.py`, "
+        "`tests/congest/test_trial_plane.py`, "
+        "`tests/localmodel/test_local_plane.py`).",
     ),
     (
         "E7 — LOCAL uniformity testing (Section 6)",
@@ -176,8 +177,8 @@ SECTIONS = [
         "paired Monte-Carlo trials (uniform and Paninski ε-far under the "
         "same fault plan) at n=200, k=60, ε=0.9, p=1/3, 64 samples/node "
         "(τ=6); fault plans are keyed by (base_seed, trial) and replay "
-        "bit-for-bit.  `tools/bench_robustness.py` regenerates this table "
-        "and `BENCH_robustness.json`; the `--smoke` grid runs in CI.\n\n"
+        "bit-for-bit.  `benchmarks/bench_e14_robustness.py` sweeps star, "
+        "ring and grid and writes the grid table.\n\n"
         "**Fast path.** The whole grid replays through the vectorised "
         "fault plane (`repro.congest.fault_plane`): every per-trial-keyed "
         "plan's flooding, retry ladders, token transfer, give-up "
@@ -186,13 +187,10 @@ SECTIONS = [
         "point's trials still runs through the engine, which cross-checks "
         "verdict, agreement, shortfall, missing-subtree and unheard "
         "counters bit for bit (any divergence raises `SimulationError`) "
-        "and supplies the rounds/drops columns only it can measure.  On "
-        "this grid the replay costs ≈3.1 ms per trial against ≈170 ms per "
-        "engine trial — **≈55× per faulty trial** (`BENCH_robustness.json` "
-        "`fault_plane.speedup`, `bit_identical: true`), which is what made "
-        "25 trials/point affordable.",
+        "and supplies the rounds/drops columns only it can measure "
+        "(`tests/congest/test_fault_plane.py` pins the replay to the "
+        "engine).  The plane is what made 25 trials/point affordable.",
         ["e14_robustness"],
-        "(Star and ring sweeps in `BENCH_robustness.json` match.)  "
         "Message loss up to 10% costs only rounds (retransmissions absorb "
         "it: agreement is unchanged, shortfall ≈ 0; the uniform-side "
         "error rate ≈ 0.2 is the tester's intrinsic false-reject budget "
@@ -203,7 +201,8 @@ SECTIONS = [
         "the surviving network still reaches unanimous agreement on every "
         "run.  The graceful-degradation contract — drop ≤ 0.05, no "
         "crashes ⇒ every node gets a verdict, agreement 1.0 — is asserted "
-        "by the benchmark and CI.",
+        "by the benchmark on all three topologies, and at drop 0.05 by "
+        "`tests/congest/test_hardened.py`.",
     ),
     (
         "E15 — Extension: the vectorised trial plane (Monte-Carlo fast path)",
@@ -222,17 +221,14 @@ SECTIONS = [
         "same sample stream is consumed; `engine_check` re-runs a trial "
         "prefix through the engine and raises on any disagreement), and "
         "the engine remains the measurement of record for rounds, "
-        "bandwidth and fault counters.  `tools/bench_protocol.py` "
-        "regenerates this table into `BENCH_protocol.json` "
-        "(`e6_trial_plane`); `tools/bench_compare.py --smoke` gates "
-        "regressions in CI.",
-        ["e15_trial_plane"],
-        "On the E6 error-rate workload (n=500, k=3000, τ=6, star) the "
-        "trial plane runs the same trials ~150× faster than the "
-        "warm-started engine (≈0.3 ms vs ≈45 ms per trial) after a "
-        "~30 ms one-time layout extraction, with "
-        "`bit_identical.fast_vs_engine = true` asserted by the benchmark "
-        "gate.  The E6 sweep rides this path with an engine-check "
+        "bandwidth and fault counters.  `tests/congest/test_trial_plane.py` "
+        "pins the plane to the engine.",
+        [],
+        "Timed as a whole call by `perfbench/figures.py` (two runs, "
+        "README \"Performance\"): on the E6 workload on grid(50, 60) "
+        "(n=500, k=3000), layout extraction plus 512 trials through the "
+        "plane is **430–550×** faster than the tree schedule plus 512 "
+        "warm-started engine trials.  The E6 sweep rides this path with an engine-check "
         "fraction; the E14 robustness sweep, whose plans are keyed per "
         "trial and realise a *different* layout every trial, rides the "
         "fault plane (`repro.congest.fault_plane`), which re-derives the "
@@ -263,16 +259,18 @@ SECTIONS = [
         "engine_check=f)` re-runs a prefix through the scalar route and "
         "re-verifies the layout, raising `SimulationError` on any "
         "divergence.  `choose_radius(..., fast_path=True)` shares the "
-        "per-radius layout cache with the subsequent sweep.",
-        ["e16_local_plane"],
-        "On the E7 error-rate workload (n=20000, ring(4096), r=64) the "
-        "local plane runs the same 512-trial sweeps ~52× faster than the "
-        "scalar tester (≈0.019 ms vs ≈0.96 ms per trial) after a ~0.7 s "
-        "one-time layout extraction, with both "
-        "`bit_identical.fast_vs_scalar` and `bit_identical.layout_vs_engine` "
-        "asserted true by the benchmark gate (`BENCH_protocol.json`, "
-        "`e7_local_plane`; regression-gated by `tools/bench_compare.py "
-        "--smoke` in CI).  The E7/E7b sweeps above ride this path.  "
+        "per-radius layout cache with the subsequent sweep.  "
+        "`tests/localmodel/test_local_plane.py` pins the flags to the "
+        "scalar tester and the layout to the engine.",
+        [],
+        "Timed as a whole call by `perfbench/figures.py` (two runs, "
+        "README \"Performance\"): on the E7 workload (n=20000, "
+        "ring(4096), r=64) the plane's layout plus 256 trials is "
+        "**5.0–5.6×** faster than the scalar route's plan plus the same "
+        "trials.  With the audit on (`engine_check > 0` runs "
+        "`verify_layout`, which repeats the scalar plan) the plane is no "
+        "faster than the scalar route at that trial count.  The E7/E7b "
+        "sweeps above ride this path.  "
         "`DiscreteDistribution.sample()` is the same cached inverse-CDF "
         "lookup (`index_quantiles`) applied to fresh `sample_uniform` "
         "draws, and `tests/distributions/test_base.py` pins it to "
@@ -300,18 +298,16 @@ SECTIONS = [
         "scalar `run()` on both protocols; `estimate_error(..., "
         "fast_path=True, engine_check=f)` re-runs a prefix of the same "
         "streams through the full scalar protocol and raises "
-        "`SimulationError` on any divergence.  `tools/bench_smp.py` "
-        "regenerates this table and `BENCH_smp.json`; "
-        "`tools/bench_compare.py --smoke` gates regressions in CI.",
-        ["e17_smp_plane"],
-        "On the default `repro smp` workload (256-bit inputs, δ=0.05, "
-        "τ=2.0 → a 1024-bit codeword, torus side 32, BCG domain 2048, "
-        "q=14) the plane runs the same 2048-trial sweeps ~8900× faster "
-        "than the scalar torus protocol (≈0.0001 ms vs ≈0.74 ms per "
-        "trial) and ~1000× faster than the scalar BCG reduction "
-        "(≈0.001 ms vs ≈0.80 ms per trial), with `bit_identical: true` "
-        "on both asserted by the benchmark gate (`BENCH_smp.json`, "
-        "`e17_torus`/`e17_bcg`).  The scalar route remains the "
+        "`SimulationError` on any divergence.  "
+        "`tests/smp/test_smp_plane.py` pins both planes to the scalar "
+        "`run()`.",
+        [],
+        "Timed as a whole call by `perfbench/figures.py` (two runs, "
+        "README \"Performance\"): on the default `repro smp` workload "
+        "(256-bit inputs, δ=0.05, τ=2.0 → a 1024-bit codeword, torus "
+        "side 32, BCG domain 2048, q=14) the plane's encoding plus 4096 "
+        "trials is **1480–1550×** faster than the scalar torus protocol "
+        "and **740–1010×** faster than the scalar BCG reduction.  The scalar route remains the "
         "measurement of record for communication cost (E8's bit counts "
         "are untouched); the plane only accelerates verdict statistics, "
         "which is what made the `repro smp` error columns affordable at "
@@ -320,7 +316,7 @@ SECTIONS = [
 ]
 
 #: Closing paragraph appended after the last section (not tied to one
-#: experiment: it documents the telemetry split embedded in BENCH_*.json).
+#: experiment: it documents the telemetry phase split).
 FOOTER = (
     "\n**Phase breakdowns.** Every route above is instrumented with "
     "`repro.telemetry` (`docs/observability.md`): pass `--trace PATH` to "
@@ -328,14 +324,10 @@ FOOTER = (
     "wall-time split (FLOOD / CLAIM+COUNT / TOKENS / VOTE+DECIDE for a "
     "cold engine run; layout / draw / verdict / engine-check for the "
     "trial and local planes; build / replay / score per grid point for "
-    "the fault plane) next to the run's manifest.  The committed "
-    "`BENCH_*.json` payloads embed the same split as a `trace_phases` "
-    "block from one fixed-size traced run, so `tools/bench_compare.py` "
-    "gates phase-level slowdowns — e.g. a regression localised to the "
-    "TOKENS phase fails the gate even if the headline total hides it.  "
+    "the fault plane) next to the run's manifest.  "
     "Tracing never changes results (bit-identity pinned by "
-    "`tests/telemetry/`), and all headline timings are measured "
-    "untraced.\n"
+    "`tests/telemetry/`).  Timings of whole calls, end to end and per "
+    "layer, come from `perfbench/run.py` (`perfbench/README.md`).\n"
 )
 
 HEADER = """# EXPERIMENTS — paper claims vs measured
@@ -353,9 +345,9 @@ randomness seeded.  Monte-Carlo estimates run on the batched trial
 engine (``repro.experiments.TrialRunner``): trials are chunk-keyed by
 ``(base_seed, labels, chunk)``, so every number below is bit-for-bit
 reproducible at any batch size or worker count — see the README's
-"trial engine" section and ``BENCH_trials.json`` for engine timings.
-Regenerate with ``pytest benchmarks/ --benchmark-only`` then this
-script.
+"trial engine" section.  Timings of whole calls come from
+``perfbench/`` (README "Performance").  Regenerate with
+``pytest benchmarks/ --benchmark-only`` then this script.
 """
 
 
@@ -365,6 +357,8 @@ def main() -> int:
     for title, claim, files, verdict in SECTIONS:
         parts.append(f"\n## {title}\n")
         parts.append(f"**Paper claim.** {claim}\n")
+        if not files:
+            parts.append("\n")
         for name in files:
             path = RESULTS / f"{name}.txt"
             if not path.exists():
